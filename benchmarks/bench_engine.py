@@ -14,7 +14,7 @@ changes can track the trajectory:
   scheduling: per-batch engine + per-walk scalar merge replay.
 * ``extract_default``     — full ``extract_row_alg2`` with the current
   defaults (pipelined engine + vectorised ordered merge replay; the
-  thread/process executors engage automatically on multi-core hosts).
+  serial engine unless the process executor is configured).
 * ``open_field`` / ``open_field_nofast`` — the pipelined engine on an
   *open-field-dominated* case: thin wires in a roomy enclosure with a
   small ``h_cap`` so most steps are capped far-field steps, which is the

@@ -1,7 +1,8 @@
 """Multi-master extraction benchmark — emits BENCH_extract.json.
 
 Measures the end-to-end wall time of a full multi-master ``extract()`` on
-a multi-conductor bus case in three schedules at the *same* worker count:
+a multi-conductor bus case in three schedules on the process backend at
+the *same* worker count:
 
 * ``serial_masters``       — the historical master-after-master loop
   (``interleave_masters=False``): one master's convergence tail idles the
@@ -102,7 +103,7 @@ def _config(**overrides) -> FRWConfig:
         min_walks=2 * BATCH,
         max_walks=8 * BATCH,
         tolerance=1.5e-2,
-        executor="thread",
+        executor="process",
         n_workers=N_WORKERS,
         **overrides,
     )

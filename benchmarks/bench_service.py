@@ -321,7 +321,7 @@ def main() -> None:
     parser.add_argument("--max-walks", type=int, default=MAX_WALKS)
     parser.add_argument("--slots", type=int, default=1)
     parser.add_argument(
-        "--executor", default="serial", choices=["serial", "thread", "process"]
+        "--executor", default="serial", choices=["serial", "process"]
     )
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(

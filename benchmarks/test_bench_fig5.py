@@ -1,9 +1,8 @@
 """Fig. 5 benchmarks: engine throughput and scheduling.
 
 The runtime-vs-threads figure is driven by (a) raw walk throughput and (b)
-schedule quality.  These benchmarks time the vectorised engine, the
-dynamic-queue simulation across thread counts, and the real thread-pool
-executor.
+schedule quality.  These benchmarks time the vectorised engine and the
+dynamic-queue simulation across thread counts.
 """
 
 import numpy as np
@@ -11,7 +10,6 @@ import pytest
 
 from repro.frw import (
     run_walks,
-    run_walks_parallel,
     simulate_dynamic_queue,
     simulate_static_blocks,
 )
@@ -37,17 +35,6 @@ def test_dynamic_queue_simulation(benchmark, threads):
 def test_static_blocks_simulation(benchmark):
     durations = np.random.default_rng(1).uniform(1, 40, 10_000)
     benchmark(simulate_static_blocks, durations, 16)
-
-
-def test_thread_pool_executor(benchmark, ctx_case1):
-    uids = np.arange(2000, dtype=np.uint64)
-
-    def run():
-        return run_walks_parallel(
-            ctx_case1, lambda: WalkStreams(9, 0), uids, n_workers=2
-        ).dest.shape[0]
-
-    assert benchmark(run) == 2000
 
 
 def test_walk_step_cost_breakdown(benchmark, ctx_case1):

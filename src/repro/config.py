@@ -22,7 +22,7 @@ from .errors import ConfigError
 VARIANTS = ("alg1", "frw-nk", "frw-nc", "frw-r", "frw-rr")
 RNG_KINDS = ("philox", "mt")
 SUMMATION_KINDS = ("kahan", "naive")
-EXECUTOR_KINDS = ("serial", "thread", "process")
+EXECUTOR_KINDS = ("serial", "process")
 ALLOCATION_KINDS = ("even", "variance")
 MP_START_METHODS = ("auto", "fork", "spawn", "forkserver")
 
@@ -64,7 +64,7 @@ RESULT_FIELDS = (
 
 #: Config fields certified bit-invisible by the golden suites: they change
 #: wall time, scheduling, or diagnostics only, never a result bit.  The
-#: service's canonical hash ignores them, so e.g. a thread-backend request
+#: service's canonical hash ignores them, so e.g. a serial-backend request
 #: hits a row cached by a process-backend solve.  Every ``FRWConfig``
 #: field must appear in exactly one of the two tuples (enforced by
 #: ``tests/test_canonical.py``); a new field must be classified before the
@@ -167,18 +167,22 @@ class FRWConfig:
         regardless of the schedule, guaranteeing bitwise-identical results
         (RI = 17) for any DOP.
     executor:
-        Real-concurrency backend executing walk batches: ``"serial"``,
-        ``"thread"`` (persistent thread pool; NumPy releases the GIL in its
-        inner loops), or ``"process"`` (persistent fork pool).  Results are
-        reassembled in UID order, so all backends are bit-identical to the
-        serial engine — real parallelism changes wall time only, which is
-        the DOP-independence contract of Alg. 2.
+        Backend executing walk batches: ``"serial"`` (the default: the
+        in-process engine, one refill pipeline per master, all masters
+        interleaved on the calling thread) or ``"process"`` (a persistent
+        process pool fed through the shared-memory context plane — the
+        only way past one core).  Results are reassembled in UID order, so
+        both backends are bit-identical — the choice changes wall time
+        only, which is the DOP-independence contract of Alg. 2.  There is
+        no thread backend: the engine issues many small NumPy calls per
+        step, which hold the GIL for most of their time, so a thread pool
+        ran at 0.5-0.64x the serial engine (docs/PERFORMANCE.md, layer 1).
     n_workers:
         Workers of the real executor; ``0`` means auto (the CPUs this
         process may actually run on — ``os.sched_getaffinity`` where
         available, so containerized/affinity-restricted hosts size pools
         correctly — falling back to the host CPU count).  With one worker
-        the executor degrades to the serial path.
+        the process backend degrades to the serial path.
     chunk_size:
         UIDs per executor work item; ``0`` means auto (an even split of the
         batch over the workers).
@@ -336,7 +340,7 @@ class FRWConfig:
     scheduler_jitter: float = 0.05
     machine_seed: int = 0
     deterministic_merge: bool = False
-    executor: str = "thread"
+    executor: str = "serial"
     n_workers: int = 0
     chunk_size: int = 0
     mp_start_method: str = "auto"

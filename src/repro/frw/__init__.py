@@ -29,7 +29,6 @@ from .parallel import (
     make_batch_runner,
     resolve_start_method,
     resolve_workers,
-    run_walks_parallel,
     run_walks_processes,
     stream_spec,
     streams_from_spec,
@@ -96,7 +95,6 @@ __all__ = [
     "resolve_start_method",
     "resolve_workers",
     "run_walks",
-    "run_walks_parallel",
     "run_walks_pipelined",
     "run_walks_processes",
     "resolve_wave",

@@ -1,16 +1,17 @@
-"""Real shared-memory executors and batch runners for walk computation.
+"""Real multi-core executors and batch runners for walk computation.
 
 The virtual-thread scheduler reproduces parallel *floating-point behaviour*;
 this module provides actual concurrency for throughput.  The centrepiece is
-:class:`PersistentExecutor`: a process or thread pool that is created once,
-reused across batches *and* master conductors, and shipped each
+:class:`PersistentExecutor`: a process pool that is created once, reused
+across batches *and* master conductors, and shipped each
 :class:`~repro.frw.context.ExtractionContext` once — replacing the historical
 pool-per-call pattern.  A batch's walk UIDs are split into chunks executed by
-the pool (NumPy releases the GIL in its inner loops, so threads overlap on
-multicore hosts; the process backend sidesteps the GIL entirely) and results
-are reassembled in UID order, so the extraction output is bit-identical to
-the serial engine — real parallelism changes wall time only, which is
-exactly the DOP-independence contract of Alg. 2.
+the pool and results are reassembled in UID order, so the extraction output
+is bit-identical to the serial engine — real parallelism changes wall time
+only, which is exactly the DOP-independence contract of Alg. 2.  There is
+no thread pool: the engine's per-step NumPy calls are too small to overlap
+under the GIL, and a thread pool ran slower than the in-process serial
+engine (docs/PERFORMANCE.md, layer 1).
 
 On top of the executor sit the *batch runners* used by
 ``extract_row_alg2``: each runner exposes ``run_batch(batch_index)`` and
@@ -19,9 +20,6 @@ differs only in how the walks are scheduled:
 * :class:`SerialBatchRunner` — the historical one-batch-at-a-time engine.
 * :class:`PipelinedBatchRunner` — one refill-capable
   :class:`~repro.frw.engine.WalkPipeline` spanning all batches.
-* :class:`ThreadedBatchRunner` — the batch is split into UID chunks; each
-  chunk owns a *slot pipeline* that persists across batches (cross-batch
-  pipelining per worker), and slot tasks run on the shared thread pool.
 * :class:`ProcessBatchRunner` — chunks dispatched to the persistent
   process pool, with cross-batch *dispatch pipelining*: while batch ``u``
   is being harvested, chunks of batches ``u+1 .. u+lookahead`` are already
@@ -37,12 +35,12 @@ attachment, so steady-state dispatch is manifest-only and works under any
 start method (``fork``, ``spawn``, ``forkserver``).  The legacy
 fork-inheritance protocol survives behind ``shared_context=False``.
 
-Every path reuses the engine's slot arena across batches: the pipelined
+Every path reuses the engine's slot arena across batches: the in-process
 runners own persistent :class:`~repro.frw.engine.WalkPipeline` instances
 (one arena each, alive for the whole run), and chunk tasks that go through
-:func:`~repro.frw.engine.run_walks` — thread-pool futures and forked
-workers alike — hit its per-thread workspace cache, so steady-state batch
-execution allocates no walk-state arrays anywhere.
+:func:`~repro.frw.engine.run_walks` in pool workers hit its per-thread
+workspace cache, so steady-state batch execution allocates no walk-state
+arrays anywhere.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ import multiprocessing
 import os
 import pickle
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -63,8 +60,8 @@ from .context import ExtractionContext
 from .engine import StageTimers, WalkPipeline, WalkResults, run_walks
 
 #: A stream spec is ``(rng_kind, seed, stream)`` — enough to rebuild a
-#: per-walk stream provider anywhere (in a worker thread or a forked
-#: process), which is what makes "any worker can evaluate any walk" real.
+#: per-walk stream provider anywhere (in this process or a pool worker),
+#: which is what makes "any worker can evaluate any walk" real.
 #: Antithetic configs extend it to ``(rng_kind, seed, stream, group,
 #: depth)``; the 3-tuple form is kept for antithetic-off configs so their
 #: dispatch payloads and worker caches stay byte-identical to before.
@@ -257,8 +254,8 @@ class PersistentExecutor:
     Parameters
     ----------
     backend:
-        ``"thread"`` or ``"process"`` (``"serial"`` is accepted and makes
-        :meth:`run` a plain engine call, for uniform call sites).
+        ``"process"`` (``"serial"`` is accepted and makes :meth:`run` a
+        plain in-process engine call, for uniform call sites).
     n_workers:
         Pool width; ``0`` means auto (host CPU count).
     chunk_size:
@@ -284,7 +281,7 @@ class PersistentExecutor:
 
     def __init__(
         self,
-        backend: str = "thread",
+        backend: str = "process",
         n_workers: int = 0,
         chunk_size: int = 0,
         mp_start_method: str = "auto",
@@ -313,7 +310,6 @@ class PersistentExecutor:
                 )
         else:
             self._start_method = None
-        self._thread_pool: ThreadPoolExecutor | None = None
         self._process_pool = None
         self._registry: dict[int, tuple[ExtractionContext, StreamSpec]] = {}
         self._keys: dict[tuple[int, StreamSpec], int] = {}
@@ -365,13 +361,6 @@ class PersistentExecutor:
     # ------------------------------------------------------------------
     # Pools
     # ------------------------------------------------------------------
-    def _threads(self) -> ThreadPoolExecutor:
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self.n_workers, thread_name_prefix="frw-walk"
-            )
-        return self._thread_pool
-
     def _processes(self):
         if self.shared_context:
             # Shared-memory plane: one pool for the executor's lifetime.
@@ -395,10 +384,6 @@ class PersistentExecutor:
             self._process_pool = mp_ctx.Pool(processes=self.n_workers)
             self._forked_version = self._version
         return self._process_pool
-
-    def submit(self, fn, *args):
-        """Schedule a callable on the thread pool (slot-pipeline tasks)."""
-        return self._threads().submit(fn, *args)
 
     # ------------------------------------------------------------------
     # Batch dispatch
@@ -441,12 +426,6 @@ class PersistentExecutor:
             bounds = _chunk_bounds(n, self.n_workers, self.chunk_size)
         chunks = [uids[a:b] for a, b in bounds]
         self.dispatches += len(chunks)
-        if self.backend == "thread":
-            futures = [
-                self._threads().submit(run_walks, ctx, streams_from_spec(spec), c)
-                for c in chunks
-            ]
-            return PendingBatch(uids, waiters=[f.result for f in futures])
         pool = self._processes()
         if self.shared_context:
             manifest = self._manifests[key]
@@ -469,9 +448,8 @@ class PersistentExecutor:
         """Cumulative dispatch telemetry.
 
         ``pickle_bytes`` counts the pickled payload of every process-pool
-        work item (the thread backend ships references, not pickles), so
-        ``pickle_bytes_per_dispatch`` directly measures the steady-state
-        per-dispatch payload — manifest-only under the shared-context
+        work item, so ``pickle_bytes_per_dispatch`` directly measures the
+        steady-state per-dispatch payload — manifest-only under the shared-context
         plane, regardless of context size.
         """
         n = max(1, self.dispatches)
@@ -515,13 +493,10 @@ class PersistentExecutor:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the pools down and release published blocks (idempotent)."""
+        """Shut the pool down and release published blocks (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
-            self._thread_pool = None
         if self._process_pool is not None:
             self._process_pool.terminate()
             self._process_pool.join()
@@ -552,13 +527,12 @@ class PersistentExecutor:
 # ----------------------------------------------------------------------
 # Batch runners: uniform per-batch API over the scheduling strategies.
 # ----------------------------------------------------------------------
-def _batch_feed(batch_size: int, lo: int = 0, hi: int | None = None):
-    """UID feed for ``WalkPipeline``: slice ``[lo, hi)`` of every batch."""
-    hi = batch_size if hi is None else hi
+def _batch_feed(batch_size: int):
+    """UID feed for ``WalkPipeline``: every UID of each batch in turn."""
 
     def feed(batch_index: int) -> np.ndarray:
         base = batch_index * batch_size
-        return np.arange(base + lo, base + hi, dtype=np.uint64)
+        return np.arange(base, base + batch_size, dtype=np.uint64)
 
     return feed
 
@@ -634,89 +608,6 @@ class PipelinedBatchRunner:
         pass
 
 
-class ThreadedBatchRunner:
-    """Slot pipelines over UID chunks, driven by the shared thread pool.
-
-    The batch is split into fixed UID chunks; chunk ``i`` is owned by slot
-    pipeline ``i``, which persists across batches and refills its vector
-    from chunk ``i`` of the *next* batch as its walks absorb — cross-batch
-    pipelining per worker.  One task per slot per batch runs on the
-    executor's persistent thread pool; slot results are concatenated in
-    chunk order, i.e. UID order.
-    """
-
-    def __init__(
-        self,
-        ctx: ExtractionContext,
-        spec: StreamSpec,
-        batch_size: int,
-        executor: PersistentExecutor,
-        pipeline: bool = True,
-        lookahead: int = 1,
-        timers: StageTimers | None = None,
-        group: int = 1,
-        prefetch: int | None = None,
-    ):
-        self.ctx = ctx
-        self.spec = spec
-        self.batch_size = int(batch_size)
-        self.executor = executor
-        self._bounds = _chunk_bounds(
-            self.batch_size, executor.n_workers, executor.chunk_size
-        )
-        self._group = max(1, int(group))
-        # Each slot gets a private StageTimers (no racy float accumulation
-        # across pool threads); they merge into the shared one at close().
-        self._timers = timers
-        self._slot_timers = (
-            [StageTimers() for _ in self._bounds]
-            if timers is not None
-            else [None] * len(self._bounds)
-        )
-        self._pipes: list[WalkPipeline] | None = None
-        if pipeline:
-            self._pipes = [
-                WalkPipeline(
-                    ctx,
-                    streams_from_spec(spec),
-                    _batch_feed(self.batch_size, a, b),
-                    width=b - a,
-                    lookahead=lookahead,
-                    timers=tm,
-                    group=self._group,
-                    prefetch=prefetch,
-                )
-                for (a, b), tm in zip(self._bounds, self._slot_timers)
-            ]
-
-    def run_batch(self, batch_index: int) -> WalkResults:
-        base = batch_index * self.batch_size
-        uids = np.arange(base, base + self.batch_size, dtype=np.uint64)
-        if self._pipes is not None:
-            futures = [self.executor.submit(p.next_batch) for p in self._pipes]
-        else:
-            futures = [
-                self.executor.submit(
-                    run_walks,
-                    self.ctx,
-                    streams_from_spec(self.spec),
-                    uids[a:b],
-                    None,  # trace
-                    tm,
-                )
-                for (a, b), tm in zip(self._bounds, self._slot_timers)
-            ]
-        parts = [f.result() for f in futures]
-        return _reassemble(uids, parts)
-
-    def close(self) -> None:
-        self._pipes = None  # drop in-flight walk state; the pool is shared
-        if self._timers is not None:
-            for tm in self._slot_timers:
-                self._timers.merge(tm)
-            self._slot_timers = [StageTimers() for _ in self._bounds]
-
-
 class ProcessBatchRunner:
     """Batches dispatched to the persistent process pool, pipelined across
     batch boundaries (RidgeWalker's dispatch model).
@@ -787,11 +678,9 @@ def make_batch_runner(
     keeps one pool alive across masters) or not needed.
 
     ``timers`` (optional) accumulates the engine's per-stage wall time:
-    serial/pipelined runners charge it directly; the threaded runner gives
-    each slot pipeline a private timer and merges them at ``close()``
-    (stage seconds then sum over workers, i.e. CPU time not wall time).
-    The process runner cannot report stages — the engine loops run in
-    forked workers — and leaves ``timers`` untouched.
+    serial/pipelined runners charge it directly.  The process runner
+    cannot report stages — the engine loops run in pool workers — and
+    leaves ``timers`` untouched.
     """
     backend = config.executor
     workers = (
@@ -799,7 +688,7 @@ def make_batch_runner(
     )
     spec = stream_spec(config, ctx.master)
     group = config.antithetic_group if config.antithetic else 1
-    # Threaded/serial runners get the prefetch depth explicitly; process
+    # In-process runners get the prefetch depth explicitly; process
     # workers rebuild their pipelines from the shipped context and inherit
     # it from ``ctx.config.rng_prefetch_depth`` (prefetching is
     # bit-invisible, so the knob never needs to cross the wire separately).
@@ -835,18 +724,6 @@ def make_batch_runner(
                 group=group,
                 prefetch=prefetch,
             )
-    elif backend == "thread":
-        runner = ThreadedBatchRunner(
-            ctx,
-            spec,
-            config.batch_size,
-            executor,
-            pipeline=config.pipeline,
-            lookahead=config.pipeline_lookahead,
-            timers=timers,
-            group=group,
-            prefetch=prefetch,
-        )
     else:
         runner = ProcessBatchRunner(
             ctx,
@@ -859,38 +736,9 @@ def make_batch_runner(
 
 
 # ----------------------------------------------------------------------
-# One-shot conveniences (kept for benchmarks and direct engine use; the
+# One-shot convenience (kept for benchmarks and direct engine use; the
 # extraction path goes through PersistentExecutor + batch runners).
 # ----------------------------------------------------------------------
-def run_walks_parallel(
-    ctx: ExtractionContext,
-    streams_factory,
-    uids: np.ndarray,
-    n_workers: int,
-    chunk_size: int | None = None,
-) -> WalkResults:
-    """Execute one UID batch across a short-lived thread pool.
-
-    ``streams_factory()`` must yield a fresh stream provider per worker
-    (counter streams are stateless so any number of providers agree
-    bit-for-bit).  Results are reassembled in UID order.
-    """
-    uids = np.asarray(uids, dtype=np.uint64)
-    n = uids.shape[0]
-    workers = max(1, int(n_workers))
-    if workers == 1 or n < 2:
-        return run_walks(ctx, streams_factory(), uids)
-    bounds = _chunk_bounds(n, workers, int(chunk_size or 0))
-    chunks = [uids[a:b] for a, b in bounds]
-
-    def work(chunk: np.ndarray) -> WalkResults:
-        return run_walks(ctx, streams_factory(), chunk)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(work, chunks))
-    return _reassemble(uids, parts)
-
-
 def run_walks_processes(
     ctx: ExtractionContext,
     seed: int,

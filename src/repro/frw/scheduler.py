@@ -77,26 +77,32 @@ def simulate_dynamic_queue(
 
     Deterministic given ``durations`` and ``n_threads`` (ties broken by
     thread index).  This is the load-balancing scheme of Sec. III-C.
+
+    The loop runs once per walk on the result path, so it works on Python
+    floats (``tolist`` is exact) instead of indexing NumPy scalars.  Heap
+    entries ``(available, thread)`` are totally ordered — thread indices
+    are distinct — so ``heapreplace`` pops exactly the entry a
+    ``heappop``/``heappush`` pair would, and every sum is the same IEEE
+    double addition: the result is byte-identical to the plain loop.
     """
-    durations = np.asarray(durations, dtype=np.float64)
-    n = durations.shape[0]
     t_count = max(1, int(n_threads))
     orders: list[list[int]] = [[] for _ in range(t_count)]
-    work = np.zeros(t_count, dtype=np.float64)
+    work = [0.0] * t_count
+    # Sorted, hence already a valid heap.
     heap: list[tuple[float, int]] = [(0.0, t) for t in range(t_count)]
-    heapq.heapify(heap)
-    for walk in range(n):
-        available, thread = heapq.heappop(heap)
+    replace = heapq.heapreplace
+    durs = np.asarray(durations, dtype=np.float64).tolist()
+    for walk, duration in enumerate(durs):
+        available, thread = heap[0]
         orders[thread].append(walk)
-        work[thread] += durations[walk]
-        heapq.heappush(heap, (available + durations[walk], thread))
+        work[thread] += duration
+        replace(heap, (available + duration, thread))
     finish = np.zeros(t_count, dtype=np.float64)
-    while heap:
-        available, thread = heapq.heappop(heap)
+    for available, thread in heap:
         finish[thread] = available
     return ScheduleResult(
         thread_order=[np.array(o, dtype=np.int64) for o in orders],
-        thread_work=work,
+        thread_work=np.array(work, dtype=np.float64),
         thread_finish=finish,
     )
 

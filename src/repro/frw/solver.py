@@ -158,9 +158,9 @@ class FRWSolver:
     The solver owns the real-concurrency resources: extraction contexts are
     cached per master (sharing the master-independent assets — spatial
     index, cube table — through one :class:`SharedAssets` cache) and, when
-    the config selects a ``thread`` or ``process`` executor with more than
-    one worker, one :class:`~repro.frw.parallel.PersistentExecutor` is
-    created lazily and reused across batches *and* masters.  Call
+    the config selects the ``process`` executor with more than one worker,
+    one :class:`~repro.frw.parallel.PersistentExecutor` is created lazily
+    and reused across batches *and* masters.  Call
     :meth:`close` (or use the solver as a context manager) to release the
     pools; results are bit-identical across executor backends, so this only
     affects wall time.

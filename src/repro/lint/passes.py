@@ -730,11 +730,9 @@ def det012_post_registration_mutation(
 ) -> Iterator[Finding]:
     """Registering a context with an executor (or publishing it to the
     shared-memory plane) snapshots it: process workers attach a
-    hash-verified copy, thread workers read the same object
-    concurrently.  A write through the registered object after that
-    point either diverges from what workers see (process backend — the
-    manifest hash check fires late, mid-extraction) or races them
-    (thread backend).  This pass freezes every simple-name /
+    hash-verified copy.  A write through the registered object after
+    that point diverges from what workers see (the manifest hash check
+    fires late, mid-extraction).  This pass freezes every simple-name /
     ``self.attr`` argument of a ``register(...)`` / ``publish_context``
     call for the remainder of the function and reports later attribute
     or item writes through it."""

@@ -69,13 +69,43 @@ identical on every host.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..errors import RNGError
+from .counter_stream import _SPAN_TILE, check_span_args
 
 #: Largest supported antithetic group (partner transforms beyond eight-way
 #: rotation/reflection splits add bookkeeping but no new cancellation).
 MAX_GROUP = 8
+
+
+class _MirrorScratch:
+    """Fixed-size per-thread buffers of :meth:`MirroredDraws.draws_span`
+    (flat, :data:`~repro.rng.counter_stream._SPAN_TILE` elements each;
+    calls take contiguous leading views)."""
+
+    __slots__ = ("primary", "k", "transform", "reflect", "offset")
+
+    def __init__(self):
+        self.primary = np.empty(_SPAN_TILE, dtype=np.uint64)
+        self.k = np.empty(_SPAN_TILE, dtype=np.uint64)
+        self.transform = np.empty(_SPAN_TILE, dtype=bool)
+        self.reflect = np.empty(_SPAN_TILE, dtype=np.float64)
+        self.offset = np.empty(_SPAN_TILE, dtype=np.float64)
+
+
+_LOCAL = threading.local()
+
+
+def _thread_scratch() -> _MirrorScratch:
+    """The calling thread's transform scratch, shared by every provider."""
+    scratch = getattr(_LOCAL, "scratch", None)
+    if scratch is None:
+        scratch = _MirrorScratch()
+        _LOCAL.scratch = scratch
+    return scratch
 
 
 def mirror_params(group: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,31 +196,12 @@ class MirroredDraws:
         self.group = int(group)
         self.depth = int(depth)
         self._reflect, self._offset = mirror_params(self.group)
-        self._cap = 0
-        self._uid_s: np.ndarray | None = None
-        self._k_s: np.ndarray | None = None
-        self._r_s: np.ndarray | None = None
-        self._o_s: np.ndarray | None = None
-        self._span_shape = (0, 0)
-        self._tr_s: np.ndarray | None = None
-        self._r2_s: np.ndarray | None = None
-        self._o2_s: np.ndarray | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MirroredDraws({self.base!r}, group={self.group}, "
             f"depth={self.depth})"
         )
-
-    def _scratch(self, n: int):
-        if self._cap < n:
-            cap = max(n, 2 * self._cap)
-            self._uid_s = np.empty(cap, dtype=np.uint64)
-            self._k_s = np.empty(cap, dtype=np.uint64)
-            self._r_s = np.empty(cap, dtype=np.float64)
-            self._o_s = np.empty(cap, dtype=np.float64)
-            self._cap = cap
-        return self._uid_s[:n], self._k_s[:n], self._r_s[:n], self._o_s[:n]
 
     def draws(
         self,
@@ -204,49 +215,12 @@ class MirroredDraws:
         Pure per-walk function of ``(uid, step, slot)`` exactly like the
         base stream — batching, ordering, and co-scheduling of primaries
         and partners are invisible to the values.  ``step`` may be a
-        scalar or a per-walk array, as for the base stream.
+        scalar or a per-walk array, as for the base stream.  A one-step
+        :meth:`draws_span`.
         """
-        uids = np.asarray(uids, dtype=np.uint64)
-        n = uids.shape[0]
-        primary, k, reflect, offset = self._scratch(n)
-        np.mod(uids, np.uint64(self.group), out=k)
-        np.subtract(uids, k, out=primary)
-        u = self.base.draws(primary, step, count, out=out)
-        step_arr = np.asarray(step, dtype=np.uint64)
-        transform = (
-            (k > 0)
-            & (step_arr >= 1)
-            & (step_arr <= np.uint64(self.depth))
-        )
-        if not transform.any():
-            return u
-        # Branchless whole-block transform: untransformed rows get the
-        # exact identity (reflect 0, offset 0 — u*1+0 and u-floor(u) are
-        # bit-exact for u in [0, 1)), so no fancy-index write-back copy.
-        # Slot 0 is the transition-cube cell selection and transforms
-        # within its third (antipodal hop); the remaining slots transform
-        # over the whole interval.
-        kk = k.astype(np.intp)
-        np.multiply(self._reflect[kk], transform, out=reflect)
-        np.multiply(self._offset[kk], transform, out=offset)
-        antipodal_uniform(u[:, :1], reflect[:, None], offset[:, None])
-        if count > 1:
-            mirror_uniform(u[:, 1:], reflect[:, None], offset[:, None])
-        return u
-
-    def _span_scratch(self, depth: int, n: int):
-        d0, n0 = self._span_shape
-        if d0 < depth or n0 < n:
-            shape = (max(depth, d0), max(n, n0))
-            self._tr_s = np.empty(shape, dtype=bool)
-            self._r2_s = np.empty(shape, dtype=np.float64)
-            self._o2_s = np.empty(shape, dtype=np.float64)
-            self._span_shape = shape
-        return (
-            self._tr_s[:depth, :n],
-            self._r2_s[:depth, :n],
-            self._o2_s[:depth, :n],
-        )
+        if out is not None:
+            out = out[None]
+        return self.draws_span(uids, step, 1, count, out=out)[0]
 
     def draws_span(
         self,
@@ -264,34 +238,54 @@ class MirroredDraws:
         is per ``(step offset, walk)``, so a span that straddles the
         mirrored depth (``steps + k`` crossing ``self.depth``) transforms
         exactly the in-range planes.  The engine's prefetch ring composes
-        with antithetic sampling through this method.
+        with antithetic sampling through this method.  Walks are processed
+        in column tiles through the calling thread's fixed-size scratch.
         """
+        check_span_args(depth, count)
         uids = np.asarray(uids, dtype=np.uint64)
         n = uids.shape[0]
-        primary, k, _, _ = self._scratch(n)
-        np.mod(uids, np.uint64(self.group), out=k)
-        np.subtract(uids, k, out=primary)
-        u = self.base.draws_span(primary, steps, depth, count, out=out)
+        if out is None:
+            out = np.empty((depth, n, count), dtype=np.float64)
         steps_arr = np.asarray(steps, dtype=np.uint64)
-        transform, reflect, offset = self._span_scratch(depth, n)
-        # step_grid[k_off, i] = steps_i + k_off; broadcasting covers both
-        # scalar and per-walk steps.
-        step_grid = np.add(
-            steps_arr, np.arange(depth, dtype=np.uint64)[:, None]
-        )
-        in_range = (step_grid >= np.uint64(1)) & (
-            step_grid <= np.uint64(self.depth)
-        )
-        np.logical_and(k > 0, in_range, out=transform)
-        if not transform.any():
-            return u
-        kk = k.astype(np.intp)
-        np.multiply(self._reflect[kk], transform, out=reflect)
-        np.multiply(self._offset[kk], transform, out=offset)
-        antipodal_uniform(u[:, :, :1], reflect[:, :, None], offset[:, :, None])
-        if count > 1:
-            mirror_uniform(u[:, :, 1:], reflect[:, :, None], offset[:, :, None])
-        return u
+        offsets = np.arange(depth, dtype=np.uint64)[:, None]
+        group = np.uint64(self.group)
+        tile = _SPAN_TILE // depth
+        scratch = _thread_scratch()
+        for a in range(0, n, tile):
+            b = min(n, a + tile)
+            m = b - a
+            k = scratch.k[:m]
+            primary = scratch.primary[:m]
+            np.mod(uids[a:b], group, out=k)
+            np.subtract(uids[a:b], k, out=primary)
+            step_t = steps_arr if steps_arr.ndim == 0 else steps_arr[a:b]
+            u = self.base.draws_span(primary, step_t, depth, count, out=out[:, a:b])
+            size = depth * m
+            transform = scratch.transform[:size].reshape(depth, m)
+            # step_grid[k_off, i] = steps_i + k_off; broadcasting covers
+            # both scalar and per-walk steps.
+            step_grid = np.add(step_t, offsets)
+            in_range = (step_grid >= np.uint64(1)) & (
+                step_grid <= np.uint64(self.depth)
+            )
+            np.logical_and(k > 0, in_range, out=transform)
+            if not transform.any():
+                continue
+            # Branchless whole-block transform: untransformed entries get
+            # the exact identity (reflect 0, offset 0 — u*1+0 and
+            # u-floor(u) are bit-exact for u in [0, 1)), so no fancy-index
+            # write-back copy.  Slot 0 is the transition-cube cell
+            # selection and transforms within its third (antipodal hop);
+            # the remaining slots transform over the whole interval.
+            reflect = scratch.reflect[:size].reshape(depth, m)
+            offset = scratch.offset[:size].reshape(depth, m)
+            kk = k.astype(np.intp)
+            np.multiply(self._reflect[kk], transform, out=reflect)
+            np.multiply(self._offset[kk], transform, out=offset)
+            antipodal_uniform(u[:, :, :1], reflect[:, :, None], offset[:, :, None])
+            if count > 1:
+                mirror_uniform(u[:, :, 1:], reflect[:, :, None], offset[:, :, None])
+        return out[:depth, :n, :count]
 
     def draws_scalar(self, uid: int, step: int, count: int) -> list[float]:
         """Scalar reference path; bit-identical to :meth:`draws`."""

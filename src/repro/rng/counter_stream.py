@@ -21,6 +21,8 @@ Each Philox call yields 4 words = 2 doubles, so a step may consume up to
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..errors import RNGError
@@ -47,15 +49,24 @@ DOMAIN_TAG = 0x46525752
 #: engine's RNG prefetch ring); bounds span scratch to a fixed size.
 MAX_PREFETCH_STEPS = 16
 
-#: Column-tile budget of the span kernel, in lattice elements per plane.
-#: Deep spans over wide walk vectors are evaluated in column tiles of about
-#: this many elements so the twelve scratch planes stay cache-resident — a
+#: Column-tile budget of the fused kernel, in lattice elements per plane.
+#: Spans over wide walk vectors are evaluated in column tiles of at most
+#: this many elements so the thirteen scratch planes stay cache-resident — a
 #: single (2*depth, n) pass at n in the thousands thrashes the cache and
 #: loses the fused pass's dispatch win (measured: 0.8x at depth 8, n 8192
-#: untiled vs >2x tiled).
+#: untiled vs >2x tiled).  It is also the fixed size of every per-thread
+#: scratch buffer.
 _SPAN_TILE = 16384
 
 _MASK32 = 0xFFFFFFFF
+
+
+def check_span_args(depth: int, count: int) -> None:
+    """Validate the ``(depth, count)`` shape of a fused draw request."""
+    if count < 1 or count > MAX_DRAWS_PER_STEP:
+        raise RNGError(f"count must be in [1, {MAX_DRAWS_PER_STEP}], got {count}")
+    if depth < 1 or depth > MAX_PREFETCH_STEPS:
+        raise RNGError(f"depth must be in [1, {MAX_PREFETCH_STEPS}], got {depth}")
 
 
 def encode_walk_uid(batch_index: int, walk_in_batch: int, batch_size: int) -> int:
@@ -74,55 +85,40 @@ def encode_walk_uid(batch_index: int, walk_in_batch: int, batch_size: int) -> in
     return batch_index * batch_size + walk_in_batch
 
 
-class _DrawScratch:
-    """Reusable buffers for the fused :meth:`WalkStreams.draws` kernel.
+class _Scratch:
+    """Fixed-size working buffers of the fused Philox kernel.
 
-    Sized for up to ``BLOCKS_PER_STEP`` Philox blocks over a walk-count
-    capacity; grown geometrically on demand.  Owned by one ``WalkStreams``
-    instance, which is therefore not safe for concurrent ``draws`` calls
-    from multiple threads (every parallel code path builds one provider per
-    worker).
+    Every buffer is a flat array of :data:`_SPAN_TILE` elements; a call
+    takes *contiguous* leading views (``lat[i][:rows * m].reshape(rows,
+    m)``), which always fit because columns are tiled at ``_SPAN_TILE //
+    rows``.  The footprint (~1.6 MB) is independent of the walk count,
+    the prefetch depth and the number of stream providers.
     """
 
-    __slots__ = ("capacity", "lattice", "t0", "t1", "f0", "f1")
+    __slots__ = ("lattice", "t", "t0", "t1", "f0", "f1")
 
-    def __init__(self, capacity: int):
-        self.capacity = int(capacity)
-        # Eight (BLOCKS_PER_STEP, capacity) u64 planes: four counter words
-        # plus four scratch planes for the in-place Philox rounds.
-        self.lattice = [
-            np.empty((BLOCKS_PER_STEP, self.capacity), dtype=np.uint64)
-            for _ in range(8)
-        ]
-        self.t0 = np.empty(self.capacity, dtype=np.uint64)
-        self.t1 = np.empty(self.capacity, dtype=np.uint64)
-        self.f0 = np.empty(self.capacity, dtype=np.float64)
-        self.f1 = np.empty(self.capacity, dtype=np.float64)
+    def __init__(self):
+        # Eight counter-lattice planes: four counter words plus four
+        # scratch planes for the in-place Philox rounds.
+        self.lattice = [np.empty(_SPAN_TILE, dtype=np.uint64) for _ in range(8)]
+        # Counter temp plus the conversion temps (used depth rows deep).
+        self.t = np.empty(_SPAN_TILE, dtype=np.uint64)
+        self.t0 = np.empty(_SPAN_TILE, dtype=np.uint64)
+        self.t1 = np.empty(_SPAN_TILE, dtype=np.uint64)
+        self.f0 = np.empty(_SPAN_TILE, dtype=np.float64)
+        self.f1 = np.empty(_SPAN_TILE, dtype=np.float64)
 
 
-class _SpanScratch:
-    """Reusable buffers for the fused :meth:`WalkStreams.draws_span` kernel.
+_LOCAL = threading.local()
 
-    Unlike :class:`_DrawScratch` (one step, walk-count capacity), the span
-    lattice is ``(depth * n_blocks, cols)`` where ``cols`` is the column
-    tile — its footprint is bounded by :data:`_SPAN_TILE` regardless of the
-    caller's walk count, so prefetch depth never blows the cache.
-    """
 
-    __slots__ = ("rows", "cols", "lattice", "t", "t0", "t1", "f0", "f1")
-
-    def __init__(self, rows: int, cols: int):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.lattice = [
-            np.empty((self.rows, self.cols), dtype=np.uint64) for _ in range(8)
-        ]
-        # 1-D counter temp plus 2-D conversion temps (used depth rows deep).
-        self.t = np.empty(self.cols, dtype=np.uint64)
-        self.t0 = np.empty((self.rows, self.cols), dtype=np.uint64)
-        self.t1 = np.empty((self.rows, self.cols), dtype=np.uint64)
-        self.f0 = np.empty((self.rows, self.cols), dtype=np.float64)
-        self.f1 = np.empty((self.rows, self.cols), dtype=np.float64)
+def _thread_scratch() -> _Scratch:
+    """The calling thread's kernel scratch, shared by every provider."""
+    scratch = getattr(_LOCAL, "scratch", None)
+    if scratch is None:
+        scratch = _Scratch()
+        _LOCAL.scratch = scratch
+    return scratch
 
 
 class WalkStreams:
@@ -138,39 +134,18 @@ class WalkStreams:
         families under the same seed.
 
     The draw *values* are a pure function of ``(seed, stream, uid, step,
-    slot)``; the instance only carries reusable scratch buffers, so any
-    number of instances agree bit-for-bit.  One instance must not service
-    concurrent ``draws`` calls from different threads (the scratch is
-    shared); all parallel code paths construct one provider per worker.
+    slot)``; the instance holds only the seed and the derived key, and the
+    kernel's working buffers are per thread, so any number of instances
+    agree bit-for-bit and one instance may serve several threads at once.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
         self._k0, self._k1 = derive_key(self.seed, self.stream)
-        self._scratch: _DrawScratch | None = None
-        self._span_scratch: _SpanScratch | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"WalkStreams(seed={self.seed}, stream={self.stream})"
-
-    def _ensure_scratch(self, n: int) -> _DrawScratch:
-        scratch = self._scratch
-        if scratch is None or scratch.capacity < n:
-            cap = max(n, 2 * scratch.capacity if scratch is not None else n)
-            scratch = _DrawScratch(cap)
-            self._scratch = scratch
-        return scratch
-
-    def _ensure_span_scratch(self, rows: int, cols: int) -> _SpanScratch:
-        scratch = self._span_scratch
-        if scratch is None or scratch.rows < rows or scratch.cols < cols:
-            scratch = _SpanScratch(
-                max(rows, scratch.rows if scratch is not None else 0),
-                max(cols, scratch.cols if scratch is not None else 0),
-            )
-            self._span_scratch = scratch
-        return scratch
 
     def draws(
         self,
@@ -188,56 +163,15 @@ class WalkStreams:
         depths in one vector); each walk's draws depend only on its own
         ``(uid, step)``.
 
-        All blocks of the step are generated by a single fused Philox pass
-        over an ``(n_blocks, n)`` counter lattice (rather than one
-        vectorised call per block), writing through reusable scratch;
-        ``out`` — shape ``(n, >= count)``, float64 — lets the caller supply
-        the destination so steady-state callers allocate nothing.
+        A one-step :meth:`draws_span`: all blocks of the step are generated
+        by a single fused Philox pass over an ``(n_blocks, n)`` counter
+        lattice.  ``out`` — shape ``(n, >= count)``, float64 — lets the
+        caller supply the destination so steady-state callers allocate
+        nothing.
         """
-        if count < 1 or count > MAX_DRAWS_PER_STEP:
-            raise RNGError(
-                f"count must be in [1, {MAX_DRAWS_PER_STEP}], got {count}"
-            )
-        uids = np.asarray(uids, dtype=np.uint64)
-        n = uids.shape[0]
-        n_blocks = (count + 1) // 2
-        if out is None:
-            out = np.empty((n, count), dtype=np.float64)
-        scratch = self._ensure_scratch(n)
-        lat = scratch.lattice
-        x0 = lat[0][:n_blocks, :n]
-        x1 = lat[1][:n_blocks, :n]
-        x2 = lat[2][:n_blocks, :n]
-        x3 = lat[3][:n_blocks, :n]
-        s0 = lat[4][:n_blocks, :n]
-        s1 = lat[5][:n_blocks, :n]
-        s2 = lat[6][:n_blocks, :n]
-        s3 = lat[7][:n_blocks, :n]
-        mask = np.uint64(_MASK32)
-        t0 = scratch.t0[:n]
-        # c0 = step * BLOCKS_PER_STEP + block, truncated to 32 bits exactly
-        # as the historical per-block path did.
-        np.multiply(
-            np.asarray(step, dtype=np.uint64), np.uint64(BLOCKS_PER_STEP), out=t0
-        )
-        for j in range(n_blocks):
-            np.add(t0, np.uint64(j), out=x0[j])
-        np.bitwise_and(x0, mask, out=x0)
-        np.bitwise_and(uids, mask, out=t0)
-        x1[...] = t0
-        np.right_shift(uids, np.uint64(32), out=t0)
-        x2[...] = t0
-        x3.fill(DOMAIN_TAG)
-        w0, w1, w2, w3 = philox4x32_inplace(
-            x0, x1, x2, x3, s0, s1, s2, s3, self._k0, self._k1
-        )
-        t0, t1 = scratch.t0[:n], scratch.t1[:n]
-        f0, f1 = scratch.f0[:n], scratch.f1[:n]
-        for d in range(count):
-            j = d // 2
-            hi, lo = (w0[j], w1[j]) if d % 2 == 0 else (w2[j], w3[j])
-            unit_double_into(hi, lo, t0, t1, f0, f1, out[:n, d])
-        return out[:n, :count]
+        if out is not None:
+            out = out[None]
+        return self.draws_span(uids, step, 1, count, out=out)[0]
 
     def draws_span(
         self,
@@ -260,14 +194,7 @@ class WalkStreams:
         — shape ``(depth, >= n, >= count)``, float64 — makes the call
         allocation-free.
         """
-        if count < 1 or count > MAX_DRAWS_PER_STEP:
-            raise RNGError(
-                f"count must be in [1, {MAX_DRAWS_PER_STEP}], got {count}"
-            )
-        if depth < 1 or depth > MAX_PREFETCH_STEPS:
-            raise RNGError(
-                f"depth must be in [1, {MAX_PREFETCH_STEPS}], got {depth}"
-            )
+        check_span_args(depth, count)
         uids = np.asarray(uids, dtype=np.uint64)
         n = uids.shape[0]
         n_blocks = (count + 1) // 2
@@ -281,8 +208,8 @@ class WalkStreams:
                 f"out shape {out.shape} too small for ({depth}, {n}, {count})"
             )
         steps_arr = np.asarray(steps, dtype=np.uint64)
-        tile = max(1, _SPAN_TILE // rows)
-        scratch = self._ensure_span_scratch(rows, min(n, tile))
+        tile = _SPAN_TILE // rows
+        scratch = _thread_scratch()
         lat = scratch.lattice
         mask = np.uint64(_MASK32)
         # Lattice row r = j * depth + k (block j, step offset k), so each
@@ -296,14 +223,10 @@ class WalkStreams:
         for a in range(0, n, tile):
             b = min(n, a + tile)
             m = b - a
-            x0 = lat[0][:rows, :m]
-            x1 = lat[1][:rows, :m]
-            x2 = lat[2][:rows, :m]
-            x3 = lat[3][:rows, :m]
-            s0 = lat[4][:rows, :m]
-            s1 = lat[5][:rows, :m]
-            s2 = lat[6][:rows, :m]
-            s3 = lat[7][:rows, :m]
+            size = rows * m
+            x0, x1, x2, x3, s0, s1, s2, s3 = (
+                plane[:size].reshape(rows, m) for plane in lat
+            )
             t = scratch.t[:m]
             step_t = steps_arr if steps_arr.ndim == 0 else steps_arr[a:b]
             np.multiply(step_t, np.uint64(BLOCKS_PER_STEP), out=t)
@@ -317,10 +240,11 @@ class WalkStreams:
             w0, w1, w2, w3 = philox4x32_inplace(
                 x0, x1, x2, x3, s0, s1, s2, s3, self._k0, self._k1
             )
-            t0 = scratch.t0[:depth, :m]
-            t1 = scratch.t1[:depth, :m]
-            f0 = scratch.f0[:depth, :m]
-            f1 = scratch.f1[:depth, :m]
+            size = depth * m
+            t0 = scratch.t0[:size].reshape(depth, m)
+            t1 = scratch.t1[:size].reshape(depth, m)
+            f0 = scratch.f0[:size].reshape(depth, m)
+            f1 = scratch.f1[:size].reshape(depth, m)
             for d in range(count):
                 j = d // 2
                 rs = slice(j * depth, (j + 1) * depth)

@@ -1,8 +1,14 @@
-"""Shared fixtures: small structures and extraction configs."""
+"""Shared fixtures: small structures, extraction configs, and helpers that
+run work on several concurrent threads."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 import pytest
 
 from repro import Box, Conductor, DielectricStack, FRWConfig, Structure
+from repro.frw import WalkResults, run_walks
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +54,51 @@ def quick_config():
     return FRWConfig.frw_r(
         seed=123, n_threads=4, batch_size=1500, tolerance=5e-2, min_walks=1500
     )
+
+
+@pytest.fixture(scope="session")
+def on_threads():
+    """``run(calls)``: run each zero-argument callable on its own thread.
+
+    The threads are released together (a barrier), so the calls really
+    overlap; results come back in call order and exceptions propagate.
+    """
+
+    def run(calls):
+        barrier = threading.Barrier(len(calls))
+
+        def start(fn):
+            barrier.wait(timeout=60)
+            return fn()
+
+        with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+            futures = [pool.submit(start, fn) for fn in calls]
+            return [f.result() for f in futures]
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def threaded_walks(on_threads):
+    """``run(ctx, streams, uids, n_threads=None, chunk_size=None)``: the
+    serial engine over contiguous UID chunks, one concurrent thread per
+    chunk, all sharing the one ``streams`` provider; reassembled in UID
+    order.  Chunks are ``chunk_size`` UIDs, or an even split over
+    ``n_threads``."""
+
+    def run(ctx, streams, uids, n_threads=None, chunk_size=None):
+        uids = np.asarray(uids, dtype=np.uint64)
+        if chunk_size is not None:
+            chunks = [uids[a : a + chunk_size] for a in range(0, len(uids), chunk_size)]
+        else:
+            chunks = np.array_split(uids, n_threads)
+        parts = on_threads([lambda c=c: run_walks(ctx, streams, c) for c in chunks])
+        return WalkResults(
+            uids=uids,
+            omega=np.concatenate([p.omega for p in parts]),
+            dest=np.concatenate([p.dest for p in parts]),
+            steps=np.concatenate([p.steps for p in parts]),
+            truncated=sum(p.truncated for p in parts),
+        )
+
+    return run

@@ -393,6 +393,8 @@ def test_pipeline_group_param_is_bit_invisible(plates):
 # Extraction: off-path byte-identity to the PR 6 goldens
 # ----------------------------------------------------------------------
 
+#: ``("thread", None)`` runs the serial engine on ``n_workers`` concurrent
+#: threads sharing one stream provider; the process rows use the pool.
 BACKENDS = [
     ("thread", None),
     ("process", "fork"),
@@ -404,21 +406,26 @@ BACKENDS = [
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 @pytest.mark.parametrize("backend,start_method", BACKENDS)
 def test_antithetic_off_matches_pinned_goldens(
-    three_wires, backend, start_method, n_workers
+    three_wires, threaded_walks, backend, start_method, n_workers
 ):
     """antithetic=False must leave the walk bytes untouched: the engine
-    fed through the (new) stream-spec plumbing still reproduces the PR 6
-    golden digests on every backend, start method, and worker count."""
+    fed through the stream-spec plumbing still reproduces the pinned
+    golden digests on concurrent threads and on every process start
+    method and worker count."""
     cfg = FRWConfig.frw_r(seed=SEED)
     assert not cfg.antithetic  # the default is off
     ctx = build_context(three_wires, 0, cfg)
     uids = np.arange(N_WALKS, dtype=np.uint64)
-    kwargs = {} if start_method is None else {"mp_start_method": start_method}
-    with PersistentExecutor(
-        backend, n_workers=n_workers, chunk_size=96, **kwargs
-    ) as ex:
-        key = ex.register(ctx, stream_spec(cfg, 0))
-        res = ex.run(key, uids)
+    if backend == "thread":
+        streams = streams_from_spec(stream_spec(cfg, 0))
+        res = threaded_walks(ctx, streams, uids, n_threads=n_workers)
+    else:
+        with PersistentExecutor(
+            backend, n_workers=n_workers, chunk_size=96,
+            mp_start_method=start_method,
+        ) as ex:
+            key = ex.register(ctx, stream_spec(cfg, 0))
+            res = ex.run(key, uids)
     _check("homogeneous", res)
     assert _digest(res) == GOLDEN["homogeneous"]["sha256"]
 
@@ -443,10 +450,10 @@ def anti_reference(plates):
     "kwargs",
     [
         dict(executor="serial", pipeline=True),
-        dict(executor="thread", n_workers=1),
-        dict(executor="thread", n_workers=2),
-        dict(executor="thread", n_workers=4),
-        dict(executor="thread", n_workers=2, chunk_size=77),
+        dict(executor="serial", rng_prefetch_depth=1),
+        dict(executor="serial", pipeline_lookahead=3),
+        dict(executor="process", n_workers=1),
+        dict(executor="process", n_workers=2, chunk_size=77),
         dict(executor="process", n_workers=2),
         dict(executor="process", n_workers=4),
         dict(executor="process", n_workers=2, mp_start_method="spawn"),
@@ -474,7 +481,7 @@ def test_antithetic_group_depth_bitwise(plates, group, depth):
     base = dict(_ANTI_BASE, antithetic_group=group, antithetic_depth=depth)
     ref_cfg = FRWConfig.frw_r(**base, executor="serial", pipeline=False)
     ref_row, _ = extract_row_alg2(build_context(plates, 0, ref_cfg))
-    cfg = FRWConfig.frw_r(**base, executor="thread", n_workers=2)
+    cfg = FRWConfig.frw_r(**base, executor="serial")
     row, _ = extract_row_alg2(build_context(plates, 0, cfg))
     assert np.array_equal(row.values, ref_row.values)
     assert np.array_equal(row.sigma2, ref_row.sigma2)

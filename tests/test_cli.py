@@ -95,6 +95,8 @@ def test_serve_parser_defaults():
     assert args.port == 8231
     assert args.slots == 1
     assert args.executor == "serial"
+    args = build_parser().parse_args(["serve", "--executor", "process"])
+    assert args.executor == "process"
 
 
 @pytest.mark.parametrize(
@@ -105,6 +107,7 @@ def test_serve_parser_defaults():
         ["serve", "--result-cache", "0"],
         ["serve", "--asset-cache", "-3"],
         ["serve", "--executor", "bogus"],
+        ["serve", "--executor", "thread"],
         ["serve", "--slots", "two"],
     ],
 )

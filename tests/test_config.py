@@ -94,3 +94,20 @@ def test_config_fields_partition_into_hash_and_allowlist():
     assert list(key) == [
         (name, getattr(cfg, name)) for name in RESULT_FIELDS
     ]
+
+
+def test_thread_executor_removed_names_replacements():
+    """The retired thread backend fails validation everywhere an executor
+    is named, and the error says what to use instead."""
+    from repro.frw import PersistentExecutor
+    from repro.service import ServiceSettings
+
+    assert FRWConfig().executor == "serial"
+    for make in (
+        lambda: FRWConfig(executor="thread"),
+        lambda: ServiceSettings(executor="thread").validate(),
+        lambda: PersistentExecutor("thread"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            make()
+        assert "'serial'" in str(exc.value) and "'process'" in str(exc.value)

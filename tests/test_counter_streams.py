@@ -144,3 +144,40 @@ def test_fused_draws_matches_scalar_property(seed, count, pairs, use_out):
     assert vec.shape == (len(pairs), count)
     for i, (uid, step) in enumerate(pairs):
         assert vec[i].tolist() == ws.draws_scalar(uid, step, count)
+
+
+def test_shared_streams_concurrent_threads_match_serial_calls(on_threads):
+    """One WalkStreams (and one MirroredDraws over it) serving two threads
+    at once returns exactly the bytes of serial calls, over mixed shapes
+    that cover one-column calls, deep spans and column tiling past the
+    fixed per-thread scratch size."""
+    from repro.rng import MirroredDraws
+    from repro.rng.counter_stream import _SPAN_TILE
+
+    base = WalkStreams(seed=11, stream=2)
+    mirrored = MirroredDraws(base, group=2, depth=3)
+    rng = np.random.default_rng(5)
+    calls = []
+    for n, depth, count in [
+        (1, 1, 3),
+        (7, 16, 8),
+        (300, 16, 3),
+        (1024, 8, 3),
+        (5000, 4, 5),
+        (_SPAN_TILE + 37, 1, 3),
+        (_SPAN_TILE + 37, 16, 8),
+    ]:
+        uids = rng.integers(0, 2**40, n).astype(np.uint64)
+        steps = rng.integers(0, 6, n).astype(np.uint64)
+        for provider in (base, mirrored):
+            calls.append((provider.draws_span, (uids, steps, depth, count)))
+            calls.append((provider.draws, (uids, steps, count)))
+    reference = [fn(*args).tobytes() for fn, args in calls]
+
+    def replay(order):
+        return [(i, calls[i][0](*calls[i][1]).tobytes()) for i in order]
+
+    forward = list(range(len(calls))) * 2
+    for results in on_threads([lambda: replay(forward), lambda: replay(forward[::-1])]):
+        for i, got in results:
+            assert got == reference[i]

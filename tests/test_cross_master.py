@@ -6,11 +6,13 @@ The acceptance criterion of the scheduler: every row of a multi-master
 rows bit for bit (``values``/``sigma2``/``hits``/``walks``/``batches``).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
-from repro.frw import build_context, extract_row_alg2
+from repro.frw import RowProgress, build_context, extract_row_alg2
 from repro.frw.scheduler import (
     allocate_quota,
     reweight_needed,
@@ -59,14 +61,28 @@ def _assert_rows_match(result, golden):
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_interleaved_bitwise_golden(
-    three_wires, golden_rows, backend, n_workers, allocation
+    three_wires, golden_rows, on_threads, backend, n_workers, allocation
 ):
-    cfg = FRWConfig.frw_r(
-        **BASE, executor=backend, n_workers=n_workers, allocation=allocation
-    )
-    with FRWSolver(three_wires, cfg) as solver:
-        result = solver.extract()
-    _assert_rows_match(result, golden_rows)
+    """``process`` runs one extraction on an ``n_workers`` pool; ``thread``
+    runs ``n_workers`` serial extractions at once, each on its own thread
+    (as the service's slots do), all sharing the per-thread RNG scratch
+    design."""
+    if backend == "thread":
+        cfg = FRWConfig.frw_r(**BASE, executor="serial", allocation=allocation)
+
+        def solve():
+            with FRWSolver(three_wires, cfg) as solver:
+                return solver.extract()
+
+        results = on_threads([solve] * n_workers)
+    else:
+        cfg = FRWConfig.frw_r(
+            **BASE, executor=backend, n_workers=n_workers, allocation=allocation
+        )
+        with FRWSolver(three_wires, cfg) as solver:
+            results = [solver.extract()]
+    for result in results:
+        _assert_rows_match(result, golden_rows)
 
 
 def test_interleaved_serial_executor_bitwise(three_wires, golden_rows):
@@ -77,7 +93,7 @@ def test_interleaved_serial_executor_bitwise(three_wires, golden_rows):
 
 def test_interleave_opt_out_bitwise(three_wires, golden_rows):
     cfg = FRWConfig.frw_r(
-        **BASE, executor="thread", n_workers=2, interleave_masters=False
+        **BASE, executor="process", n_workers=2, interleave_masters=False
     )
     with FRWSolver(three_wires, cfg) as solver:
         result = solver.extract()
@@ -96,7 +112,7 @@ def test_register_wave_bitwise(three_wires, golden_rows):
 
 
 def test_schedule_telemetry_and_asset_cache(three_wires):
-    cfg = FRWConfig.frw_r(**BASE, executor="thread", n_workers=2)
+    cfg = FRWConfig.frw_r(**BASE, executor="serial")
     with FRWSolver(three_wires, cfg) as solver:
         result = solver.extract()
     sched = result.matrix.meta["schedule"]
@@ -218,7 +234,7 @@ def test_variance_allocation_hysteresis_bitwise(three_wires, golden_rows):
     for hysteresis in (0.0, 0.25, 1.0):
         cfg = FRWConfig.frw_r(
             **BASE,
-            executor="thread",
+            executor="process",
             n_workers=4,
             allocation="variance",
             allocation_hysteresis=hysteresis,
@@ -226,3 +242,52 @@ def test_variance_allocation_hysteresis_bitwise(three_wires, golden_rows):
         with FRWSolver(three_wires, cfg) as solver:
             result = solver.extract()
         _assert_rows_match(result, golden_rows)
+
+
+def _rng_live_bytes() -> int:
+    """Bytes currently allocated from repro.rng source lines."""
+    snap = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, "*repro/rng/*")]
+    )
+    return sum(stat.size for stat in snap.statistics("filename"))
+
+
+def test_rng_scratch_does_not_grow_with_masters(on_threads, monkeypatch):
+    """The interleaved serial scheduler keeps one engine pipeline per
+    master alive, but RNG scratch is per thread: the repro.rng bytes live
+    at every batch checkpoint are the same for 2 and for 5 masters.
+    Measured: 1,709,748 bytes at 2 masters and 1,712,628 at 5 (one fixed
+    ~1.6 MB scratch per thread); the previous per-provider scratch held
+    4,179,796 and 10,545,172."""
+    wires = Structure(
+        [
+            Conductor.single(f"w{i}", Box.from_bounds(2.0 * i, 2.0 * i + 1, 0, 8, 0, 1))
+            for i in range(5)
+        ],
+        enclosure=Box.from_bounds(-4, 13, -4, 12, -4, 5),
+    )
+    cfg = FRWConfig.frw_r(
+        seed=3, batch_size=2048, min_walks=4096, max_walks=4096,
+        tolerance=1e-6, executor="serial",
+    )
+    peak: dict[int, int] = {}
+    absorb = RowProgress.absorb
+
+    def traced_absorb(self, results):
+        key = n_masters[0]
+        peak[key] = max(peak.get(key, 0), _rng_live_bytes())
+        return absorb(self, results)
+
+    monkeypatch.setattr(RowProgress, "absorb", traced_absorb)
+    n_masters = [0]
+    tracemalloc.start()
+    try:
+        for masters in ([0, 1], [0, 1, 2, 3, 4]):
+            n_masters[0] = len(masters)
+            # A fresh thread starts with no scratch, so its allocation is
+            # traced.
+            on_threads([lambda: FRWSolver(wires, cfg).extract(masters)])
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak[5] <= peak[2] + 16384
+    assert peak[5] < 2 * 1024 * 1024

@@ -7,7 +7,8 @@ scheduling.  Every engine entry point must reproduce them bit-for-bit:
 
 * the plain batch engine (``run_walks``),
 * the refill pipeline (``run_walks_pipelined``), pipelined and not,
-* thread-parallel chunked execution for ``n_workers`` in {1, 2, 4},
+* the engine run concurrently on 1, 2 and 4 threads over UID chunks, all
+  threads sharing one stream provider (and so the per-thread RNG scratch),
 * process-parallel execution over the shared-memory context plane, both
   ``fork`` and ``spawn`` start methods (spawn workers inherit nothing, so
   byte-equality proves the manifest protocol is complete).
@@ -26,7 +27,7 @@ import pytest
 import repro.frw.engine as engine_mod
 from repro import Box, Conductor, DielectricStack, FRWConfig, Structure
 from repro.frw import build_context, run_walks, run_walks_pipelined
-from repro.frw.parallel import run_walks_parallel, run_walks_processes
+from repro.frw.parallel import run_walks_processes
 from repro.lint.sanitizer import forbid_global_rng
 from repro.rng import WalkStreams
 
@@ -162,11 +163,11 @@ def test_prefetch_ring_matches_golden(golden_case, prefetch):
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
-def test_thread_parallel_matches_golden(golden_case, n_workers):
+def test_thread_parallel_matches_golden(golden_case, threaded_walks, n_workers):
+    """Concurrent threads sharing one ``WalkStreams`` reproduce the goldens:
+    the RNG scratch is per thread, never per provider."""
     case, ctx, uids = golden_case
-    res = run_walks_parallel(
-        ctx, lambda: WalkStreams(SEED, 0), uids, n_workers=n_workers
-    )
+    res = threaded_walks(ctx, WalkStreams(SEED, 0), uids, n_threads=n_workers)
     _check(case, res)
 
 

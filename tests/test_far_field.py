@@ -3,8 +3,9 @@
 The acceptance criterion of the fast path: capacitance rows extracted with
 ``far_field=True`` (and the tier-2 ``sort_queries``) are byte-equal to
 ``far_field=False`` rows on every reference case, every executor backend,
-and every worker count — the fast path may only skip work whose result is
-provably the capped default, never change a bit.  The open-field case
+every worker count, and under concurrent in-process solves — the fast
+path may only skip work whose result is provably the capped default,
+never change a bit.  The open-field case
 additionally asserts the tier-1 mask actually fired
 (``QueryStats.far_field_hits > 0``), so the equality is not vacuous.
 """
@@ -25,6 +26,7 @@ BASE = dict(
 
 CASES = ["homogeneous", "stratified"]
 
+#: ``("thread", n)`` runs ``n`` serial solves at once on their own threads.
 BACKENDS = [
     ("serial", 1),
     ("thread", 1),
@@ -86,24 +88,20 @@ def reference(request):
 
 
 @pytest.mark.parametrize("backend,n_workers", BACKENDS)
-def test_far_field_rows_byte_equal(reference, backend, n_workers):
+def test_far_field_rows_byte_equal(reference, on_threads, backend, n_workers):
     case, ref = reference
-    on = _extract(
-        case,
-        executor=backend,
-        n_workers=n_workers,
-        far_field=True,
-        sort_queries=True,
-    )
-    _assert_rows_byte_equal(on, ref)
-    off = _extract(
-        case,
-        executor=backend,
-        n_workers=n_workers,
-        far_field=False,
-        sort_queries=False,
-    )
-    _assert_rows_byte_equal(off, ref)
+    for tiers in (True, False):
+        knobs = dict(far_field=tiers, sort_queries=tiers)
+        if backend == "thread":
+            results = on_threads(
+                [lambda: _extract(case, executor="serial", **knobs)] * n_workers
+            )
+        else:
+            results = [
+                _extract(case, executor=backend, n_workers=n_workers, **knobs)
+            ]
+        for result in results:
+            _assert_rows_byte_equal(result, ref)
 
 
 @pytest.mark.parametrize("knobs", [
@@ -113,14 +111,14 @@ def test_far_field_rows_byte_equal(reference, backend, n_workers):
 ])
 def test_each_tier_alone_is_bit_identical(reference, knobs):
     case, ref = reference
-    result = _extract(case, executor="thread", n_workers=2, **knobs)
+    result = _extract(case, executor="serial", **knobs)
     _assert_rows_byte_equal(result, ref)
 
 
 def test_far_field_hits_on_open_field_case():
-    """The tier-1 mask fires on the open-field case (serial/thread, where
-    query stats accumulate in-process)."""
-    result = _extract("homogeneous", executor="thread", n_workers=2)
+    """The tier-1 mask fires on the open-field case (serial, where query
+    stats accumulate in-process)."""
+    result = _extract("homogeneous", executor="serial")
     qs = result.matrix.meta["schedule"]["query_stats"]
     assert qs is not None
     assert qs["far_field_hits"] > 0

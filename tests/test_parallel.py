@@ -1,38 +1,41 @@
-"""Tests for the real thread-pool walk executor."""
+"""Tests for the walk executors: the process pool, the in-process batch
+runners, and the serial engine driven from several threads at once."""
 
 import numpy as np
 
 from repro import FRWConfig
-from repro.frw import build_context, run_walks, run_walks_parallel
+from repro.frw import build_context, run_walks
 from repro.rng import WalkStreams
 
 
-def test_parallel_matches_serial_bitwise(plates):
+def test_parallel_matches_serial_bitwise(plates, threaded_walks):
+    """The serial engine run on four concurrent threads that share one
+    stream provider (per-thread RNG scratch and arenas) matches one
+    in-order run bit for bit."""
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(2000, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    parallel = run_walks_parallel(
-        ctx, lambda: WalkStreams(77, 0), uids, n_workers=4
-    )
+    parallel = threaded_walks(ctx, WalkStreams(77, 0), uids, n_threads=4)
     assert np.array_equal(serial.omega, parallel.omega)
     assert np.array_equal(serial.dest, parallel.dest)
     assert np.array_equal(serial.steps, parallel.steps)
     assert serial.truncated == parallel.truncated
 
 
-def test_parallel_chunk_size_irrelevant(plates):
+def test_parallel_chunk_size_irrelevant(plates, threaded_walks):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(501, dtype=np.uint64)  # odd size: ragged chunks
-    a = run_walks_parallel(ctx, lambda: WalkStreams(77, 0), uids, 3, chunk_size=64)
-    b = run_walks_parallel(ctx, lambda: WalkStreams(77, 0), uids, 2, chunk_size=200)
+    streams = WalkStreams(77, 0)
+    a = threaded_walks(ctx, streams, uids, chunk_size=64)
+    b = threaded_walks(ctx, streams, uids, chunk_size=200)
     assert np.array_equal(a.omega, b.omega)
     assert np.array_equal(a.dest, b.dest)
 
 
-def test_single_worker_shortcut(plates):
+def test_single_worker_shortcut(plates, threaded_walks):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
     uids = np.arange(100, dtype=np.uint64)
-    res = run_walks_parallel(ctx, lambda: WalkStreams(77, 0), uids, 1)
+    res = threaded_walks(ctx, WalkStreams(77, 0), uids, n_threads=1)
     ref = run_walks(ctx, WalkStreams(77, 0), uids)
     assert np.array_equal(res.omega, ref.omega)
 
@@ -73,7 +76,7 @@ from repro.frw import (
 from repro.frw.solver import FRWSolver
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_persistent_executor_bitwise(plates, backend, n_workers):
     """Any backend at any worker count is bit-identical to the serial engine."""
@@ -93,7 +96,7 @@ def test_persistent_executor_bitwise(plates, backend, n_workers):
 def test_persistent_executor_reused_across_masters(plates):
     """One pool serves several registered contexts (masters)."""
     cfg = FRWConfig.frw_r(seed=5)
-    with PersistentExecutor("thread", n_workers=2) as ex:
+    with PersistentExecutor("process", n_workers=2) as ex:
         for master in (0, 1):
             ctx = build_context(plates, master, cfg)
             key = ex.register(ctx, stream_spec(cfg, master))
@@ -107,14 +110,14 @@ def test_persistent_executor_reused_across_masters(plates):
 def test_executor_register_is_idempotent(plates):
     cfg = FRWConfig.frw_r(seed=5)
     ctx = build_context(plates, 0, cfg)
-    with PersistentExecutor("thread", n_workers=2) as ex:
+    with PersistentExecutor("process", n_workers=2) as ex:
         k1 = ex.register(ctx, stream_spec(cfg, 0))
         k2 = ex.register(ctx, stream_spec(cfg, 0))
         assert k1 == k2
 
 
 def test_executor_close_idempotent():
-    ex = PersistentExecutor("thread", n_workers=2)
+    ex = PersistentExecutor("process", n_workers=2)
     ex.close()
     ex.close()
 
@@ -124,11 +127,11 @@ def test_executor_close_idempotent():
     [
         dict(executor="serial", pipeline=True),
         dict(executor="serial", pipeline=True, pipeline_lookahead=3),
-        dict(executor="thread", n_workers=1),
-        dict(executor="thread", n_workers=2),
-        dict(executor="thread", n_workers=4),
-        dict(executor="thread", n_workers=2, pipeline=False),
-        dict(executor="thread", n_workers=2, chunk_size=77),
+        dict(executor="process", n_workers=1),
+        dict(executor="process", n_workers=2, chunk_size=77),
+        dict(executor="serial", n_workers=4),
+        dict(executor="serial", rng_prefetch_depth=1),
+        dict(executor="serial", rng_prefetch_depth=16),
         dict(executor="process", n_workers=2),
         dict(executor="process", n_workers=4),
     ],
@@ -156,7 +159,7 @@ def test_extract_row_backends_bitwise(plates, kwargs):
 def test_solver_owns_executor_lifecycle(plates):
     cfg = FRWConfig.frw_r(
         seed=13, batch_size=256, min_walks=512, max_walks=512,
-        executor="thread", n_workers=2,
+        executor="process", n_workers=2,
     )
     with FRWSolver(plates, cfg) as solver:
         ex = solver.walk_executor()
@@ -168,18 +171,19 @@ def test_solver_owns_executor_lifecycle(plates):
 
 def test_solver_serial_config_has_no_executor(plates):
     for cfg in (
-        FRWConfig.frw_r(executor="serial"),
-        FRWConfig.frw_r(executor="thread", n_workers=1),
+        FRWConfig.frw_r(),
+        FRWConfig.frw_r(executor="serial", n_workers=4),
+        FRWConfig.frw_r(executor="process", n_workers=1),
     ):
         assert FRWSolver(plates, cfg).walk_executor() is None
 
 
 def test_make_batch_runner_serial_fallback(plates):
-    """executor='thread' with one worker degrades to the in-process path,
-    so the default config is safe on single-core hosts."""
+    """executor='process' with one worker degrades to the in-process path,
+    so an auto-sized pool is safe on single-core hosts."""
     from repro.frw.parallel import PipelinedBatchRunner, SerialBatchRunner
 
-    cfg = FRWConfig.frw_r(executor="thread", n_workers=1)
+    cfg = FRWConfig.frw_r(executor="process", n_workers=1)
     ctx = build_context(plates, 0, cfg)
     runner, owned = make_batch_runner(ctx, cfg)
     assert owned is None

@@ -177,9 +177,9 @@ _BASE = dict(
 
 _BACKENDS = [
     dict(executor="serial", pipeline=True),
-    dict(executor="thread", n_workers=1),
-    dict(executor="thread", n_workers=2),
-    dict(executor="thread", n_workers=4),
+    dict(executor="serial", pipeline=False),
+    dict(executor="serial", pipeline_lookahead=3),
+    dict(executor="process", n_workers=2, chunk_size=77),
     dict(executor="process", n_workers=2),
     dict(executor="process", n_workers=4),
     dict(executor="process", n_workers=2, mp_start_method="spawn"),
@@ -231,8 +231,8 @@ def prefetch_anti_reference(plates):
     "kwargs",
     [
         dict(executor="serial", pipeline=True),
-        dict(executor="thread", n_workers=2),
-        dict(executor="thread", n_workers=4),
+        dict(executor="serial", pipeline=False),
+        dict(executor="process", n_workers=2),
         dict(executor="process", n_workers=2, mp_start_method="spawn"),
     ],
 )

@@ -1,6 +1,7 @@
 """Tests for the virtual-thread schedule simulation."""
 
 import numpy as np
+import pytest
 
 from repro.frw import (
     jittered_durations,
@@ -90,3 +91,49 @@ def test_efficiency_high_when_many_small_walks():
     durations = np.random.default_rng(6).uniform(1, 3, 10_000)
     sched = simulate_dynamic_queue(durations, 16)
     assert sched.efficiency > 0.99
+
+
+def _reference_dynamic_queue(durations, n_threads):
+    """The original per-walk loop over NumPy scalars, kept verbatim as the
+    byte-identity reference for the list-based replay."""
+    import heapq
+
+    durations = np.asarray(durations, dtype=np.float64)
+    n = durations.shape[0]
+    t_count = max(1, int(n_threads))
+    orders = [[] for _ in range(t_count)]
+    work = np.zeros(t_count, dtype=np.float64)
+    heap = [(0.0, t) for t in range(t_count)]
+    heapq.heapify(heap)
+    for walk in range(n):
+        available, thread = heapq.heappop(heap)
+        orders[thread].append(walk)
+        work[thread] += durations[walk]
+        heapq.heappush(heap, (available + durations[walk], thread))
+    finish = np.zeros(t_count, dtype=np.float64)
+    while heap:
+        available, thread = heapq.heappop(heap)
+        finish[thread] = available
+    return [np.array(o, dtype=np.int64) for o in orders], work, finish
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 4, 7])
+def test_dynamic_queue_byte_identical_to_reference_loop(n_threads):
+    """Every ScheduleResult field matches the reference loop byte for
+    byte, on jittered durations and on exact ties (equal durations)."""
+    rng = np.random.default_rng(20250 + n_threads)
+    cases = [
+        jittered_durations(rng.integers(0, 40, 2048), rng, 0.05),
+        rng.gamma(2.0, 10.0, 513),
+        np.ones(64),
+        np.empty(0),
+    ]
+    for durations in cases:
+        got = simulate_dynamic_queue(durations, n_threads)
+        order, work, finish = _reference_dynamic_queue(durations, n_threads)
+        assert len(got.thread_order) == len(order)
+        for a, b in zip(got.thread_order, order):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.thread_work.dtype == work.dtype
+        assert got.thread_work.tobytes() == work.tobytes()
+        assert got.thread_finish.tobytes() == finish.tobytes()

@@ -349,7 +349,7 @@ class TestMemoization:
 
 ENGINE_MATRIX = [
     {"executor": "serial", "n_workers": 1},
-    {"executor": "thread", "n_workers": 2},
+    {"executor": "process", "n_workers": 2, "mp_start_method": "forkserver"},
     {"executor": "process", "n_workers": 2, "mp_start_method": "fork"},
     {"executor": "process", "n_workers": 2, "mp_start_method": "spawn"},
 ]
