@@ -46,6 +46,16 @@ would be meaningless) and a ``::warning::`` annotation is emitted when
 the walk reduction drops below 1.2x so CI flags a variance-reduction
 regression without failing on noisy runner timing.
 
+The entry also records a **lane_occupancy** section for the serial
+interleaved schedule, where every live master is a lane of one engine
+slot arena: the vector steps the arena took (a ``StageTimers`` count),
+the walk-steps they carried, and their ratio ``lanes_per_step`` (the
+average number of walks advanced per vector step), next to the summed
+vector steps of the per-master engines on the same extraction.  Both
+counts are deterministic, so a ``::warning::`` annotation is emitted
+when ``lanes_per_step`` drops by more than 20% against the previous
+trajectory entry — immune to runner timing noise.
+
 Every entry carries a ``host_cpus`` field (the CPUs this process may
 actually run on — affinity/cgroup aware), so scaling numbers recorded on
 1-CPU hosts (like PR 6's 0.62x ``process_w4``) are self-describing in
@@ -74,6 +84,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
+from repro.frw import StageTimers, extract_row_alg2, extract_rows_interleaved
 
 SEED = 9
 BATCH = 1024
@@ -198,6 +209,53 @@ def run_worker_scaling(structure: Structure, process_workers: int):
     return entries
 
 
+def run_lane_occupancy(structure: Structure, previous: dict | None) -> dict:
+    """Vector steps and lanes per step of the serial interleaved schedule.
+
+    The fused arena's step count comes from the ``StageTimers`` handed to
+    the scheduler; the per-master figure sums the steps of one engine per
+    master (``extract_row_alg2``) on the same contexts.  Rows are asserted
+    byte-equal.  ``previous`` is the last trajectory entry's section, if
+    any: a >20% ``lanes_per_step`` drop against it is a ``::warning::``.
+    """
+    cfg = _config().with_(executor="serial")
+    masters = list(range(len(structure.conductors)))
+    fused = StageTimers()
+    per_master = StageTimers()
+    with FRWSolver(structure, cfg) as solver:
+        rows, stats = extract_rows_interleaved(
+            masters, cfg, solver.context, timers=fused
+        )
+        for m, row in zip(masters, rows):
+            ref, _ = extract_row_alg2(
+                solver.context(m), cfg, timers=per_master
+            )
+            assert np.array_equal(row.values, ref.values), m
+    walk_steps = sum(s.total_steps for s in stats)
+    entry = {
+        "vector_steps": fused.steps,
+        "walk_steps": walk_steps,
+        "lanes_per_step": round(walk_steps / max(1, fused.steps), 1),
+        "per_master_vector_steps": per_master.steps,
+        "fused_step_ratio": round(fused.steps / max(1, per_master.steps), 3),
+        "engine_dispatches": sum(fused.counts.values()),
+        "per_master_engine_dispatches": sum(per_master.counts.values()),
+    }
+    print(
+        f"{'lane occupancy':22s} {entry['vector_steps']:>6d} vector steps   "
+        f"{entry['lanes_per_step']:>8.1f} lanes/step   "
+        f"(per-master engines: {entry['per_master_vector_steps']} steps)"
+    )
+    before = (previous or {}).get("lanes_per_step")
+    if before and entry["lanes_per_step"] < 0.8 * before:
+        print(
+            "::warning::serial interleaved lanes_per_step dropped "
+            f"{before} -> {entry['lanes_per_step']} (>20%) against the "
+            "previous trajectory entry"
+        )
+    return entry
+
+
 #: walks-to-tolerance section parameters: the target must be *reachable*
 #: well inside the walk cap, otherwise both runs saturate at max_walks and
 #: the comparison measures nothing.
@@ -278,16 +336,23 @@ def _host_cpus() -> int:
 
 
 def _git_rev() -> str:
+    """Short HEAD revision, suffixed ``-dirty`` when tracked files differ
+    from it (the entry then measures uncommitted code on top of HEAD)."""
     try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                capture_output=True,
-                text=True,
-                timeout=10,
-            ).stdout.strip()
-            or "unknown"
-        )
+        rev = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        ).stdout.strip()
+        if not rev:
+            return "unknown"
+        dirty = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--"],
+            capture_output=True,
+            timeout=10,
+        ).returncode
+        return f"{rev}-dirty" if dirty == 1 else rev
     except OSError:  # pragma: no cover - no git on host
         return "unknown"
 
@@ -352,6 +417,10 @@ def main() -> None:
 
     scaling = run_worker_scaling(structure, args.process_workers)
 
+    trajectory = _load_trajectory(args.output)
+    previous = trajectory["runs"][-1] if trajectory["runs"] else {}
+    occupancy = run_lane_occupancy(structure, previous.get("lane_occupancy"))
+
     tolerance_section = None
     if args.walks_to_tolerance:
         tolerance_section = run_walks_to_tolerance(structure)
@@ -370,7 +439,6 @@ def main() -> None:
     }
     print("speedups:", speedups)
 
-    trajectory = _load_trajectory(args.output)
     entry = {
         # det: allow(DET002) intentional wall-clock: benchmark trajectory
         # entries are timestamped metadata, never an input to computation.
@@ -384,6 +452,7 @@ def main() -> None:
         "host_cpus": _host_cpus(),
         "results": results,
         "worker_scaling": scaling,
+        "lane_occupancy": occupancy,
         "speedups": speedups,
         "bit_identical": True,
     }

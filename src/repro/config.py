@@ -168,10 +168,10 @@ class FRWConfig:
         (RI = 17) for any DOP.
     executor:
         Backend executing walk batches: ``"serial"`` (the default: the
-        in-process engine, one refill pipeline per master, all masters
-        interleaved on the calling thread) or ``"process"`` (a persistent
-        process pool fed through the shared-memory context plane — the
-        only way past one core).  Results are reassembled in UID order, so
+        in-process engine, one refill pipeline whose slot arena holds
+        every live master's walks, on the calling thread) or
+        ``"process"`` (a persistent process pool fed through the
+        shared-memory context plane — the only way past one core).  Results are reassembled in UID order, so
         both backends are bit-identical — the choice changes wall time
         only, which is the DOP-independence contract of Alg. 2.  There is
         no thread backend: the engine issues many small NumPy calls per
@@ -217,8 +217,8 @@ class FRWConfig:
         Because draws are pure functions of ``(seed, uid, step, slot)``,
         prefetching is bit-invisible: results are byte-identical for
         every depth, backend, worker count, and start method, antithetic
-        on or off.  The engine fuses adaptively — wide vectors whose span
-        lattice would fall out of cache take the per-step path (see
+        on or off.  The engine fuses adaptively — vectors too wide for a
+        fused pass to beat per-step passes take the per-step path (see
         PERFORMANCE.md layer 8) — so oversizing the depth wastes only
         ring memory (``24 * depth`` bytes per arena slot).  1 disables
         prefetching; the stateful MT ablation streams cannot seek, so

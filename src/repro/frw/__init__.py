@@ -7,7 +7,6 @@ from .alg2_reproducible import (
     RowProgress,
     RunStats,
     extract_row_alg2,
-    extract_row_alg2_from_structure,
     machine_rng,
     make_streams,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "extract",
     "extract_row_alg1",
     "extract_row_alg2",
-    "extract_row_alg2_from_structure",
     "extract_rows_interleaved",
     "jittered_durations",
     "machine_rng",

@@ -31,7 +31,7 @@ from ..rng import (
     seeded_generator,
     splitmix64,
 )
-from .context import ExtractionContext, build_context
+from .context import ExtractionContext
 from .estimator import CapacitanceRow, RowAccumulator
 from .parallel import PersistentExecutor, make_batch_runner
 from .scheduler import jittered_durations, simulate_dynamic_queue
@@ -239,10 +239,3 @@ def extract_row_alg2(
         progress.stats.discarded_batches += discarded
 
     return progress.finalize()
-
-
-def extract_row_alg2_from_structure(
-    structure, master: int, config: FRWConfig
-) -> tuple[CapacitanceRow, RunStats]:
-    """Convenience wrapper that builds the context first."""
-    return extract_row_alg2(build_context(structure, master, config))

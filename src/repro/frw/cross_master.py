@@ -19,7 +19,16 @@ module interleaves *all* masters' batch streams over the one
 * **variance-guided allocation** reweights each master's in-flight batch
   quota toward the least-converged masters after every checkpoint round
   (:func:`~repro.frw.scheduler.variance_weights`), cutting the speculative
-  work thrown away when a nearly-converged master stops.
+  work thrown away when a nearly-converged master stops;
+* on the serial path (no pool) there is **one engine for all masters**:
+  every admitted master is a lane of a single slot arena
+  (:class:`~repro.frw.parallel.PipelinedBatchRunner`, or
+  :class:`~repro.frw.parallel.SerialBatchRunner` with ``pipeline=False``,
+  grown with ``add_master``).  Harvesting master ``m``'s next batch steps
+  the shared arena until that batch is complete, so every vector step
+  advances all live masters' walks and its fixed dispatch cost is paid
+  once, not once per master; a master whose stopping rule fires has its
+  in-flight walks evicted from the arena.
 
 Reproducibility: a master's row is a pure function of its accumulated
 batch prefix (results are schedule-independent, accumulation happens in
@@ -46,6 +55,7 @@ import numpy as np
 from ..config import FRWConfig
 from .alg2_reproducible import RowProgress, RunStats
 from .context import ExtractionContext
+from .engine import StageTimers
 from .estimator import CapacitanceRow
 from .parallel import (
     PendingBatch,
@@ -83,6 +93,7 @@ class _MasterRun:
         ctx: ExtractionContext,
         cfg: FRWConfig,
         executor: PersistentExecutor | None,
+        runner=None,
     ):
         self.master = master
         self.ctx = ctx
@@ -95,29 +106,15 @@ class _MasterRun:
         self.done = False
         self.row: CapacitanceRow | None = None
         self.stats: RunStats | None = None
-        spec = stream_spec(cfg, master)
         if executor is not None:
-            self.key = executor.register(ctx, spec)
-            self.runner = None
+            self.key = executor.register(ctx, stream_spec(cfg, master))
         else:
-            # Serial fallback: a persistent per-master engine pipeline;
-            # dispatch is lazy (PendingBatch thunks), so speculative
-            # batches past the stopping rule are never computed.
+            # Serial path: this master is a lane of the shared arena
+            # runner; dispatch is lazy (PendingBatch thunks), so
+            # speculative batches past the stopping rule are never
+            # harvested.
             self.key = None
-            streams = streams_from_spec(spec)
-            group = cfg.antithetic_group if cfg.antithetic else 1
-            if cfg.pipeline:
-                self.runner = PipelinedBatchRunner(
-                    ctx,
-                    streams,
-                    cfg.batch_size,
-                    cfg.pipeline_lookahead,
-                    group=group,
-                )
-            else:
-                self.runner = SerialBatchRunner(
-                    ctx, streams, cfg.batch_size, group=group
-                )
+        self.runner = runner
 
     def dispatch_next(self, max_chunks: int | None = None) -> None:
         """Put this master's next batch in flight (UIDs are fixed by the
@@ -133,8 +130,10 @@ class _MasterRun:
         if self.executor is not None:
             handle = self.executor.run_async(self.key, uids, max_chunks)
         else:
-            runner = self.runner
-            handle = PendingBatch(uids, thunk=lambda: runner.run_batch(u))
+            runner, master = self.runner, self.master
+            handle = PendingBatch(
+                uids, thunk=lambda: runner.run_batch(u, master)
+            )
         self.inflight[u] = handle
         self.next_dispatch = u + 1
         self.progress.stats.dispatched_batches += 1
@@ -149,7 +148,8 @@ class _MasterRun:
             self.progress.stats.discarded_batches += len(self.inflight)
             self.inflight.clear()
             if self.runner is not None:
-                self.runner.close()
+                # Evict this master's in-flight lanes from the arena.
+                self.runner.close(self.master)
                 self.runner = None
             self.row, self.stats = self.progress.finalize()
         return self.done
@@ -168,6 +168,7 @@ def extract_rows_interleaved(
     context_for: Callable[[int], ExtractionContext],
     executor: PersistentExecutor | None = None,
     thread_overrides: dict[int, int] | None = None,
+    timers: StageTimers | None = None,
 ) -> tuple[list[CapacitanceRow], list[RunStats]]:
     """Extract all masters' rows as one interleaved batch stream.
 
@@ -176,6 +177,8 @@ def extract_rows_interleaved(
     to the virtual-thread DOP its accumulation replays at (multi-level
     group plans); walk samples are DOP-independent, so overrides move
     only the last floating-point bits, exactly as in the serial path.
+    ``timers`` (optional) collects the serial arena's per-stage engine
+    breakdown and vector-step count; pool workers cannot report stages.
 
     Returns ``(rows, stats)`` aligned with ``masters``; every row is
     bit-identical to ``extract_row_alg2`` run per master with the same
@@ -193,6 +196,34 @@ def extract_rows_interleaved(
 
     pending = deque(masters)
     active: list[_MasterRun] = []
+    # Serial path: one slot arena for every live master (built for the
+    # first admitted master; later ones join it as lanes).
+    arena = None
+
+    def admit(m: int) -> _MasterRun:
+        nonlocal arena
+        ctx, cfg = context_for(m), master_config(m)
+        if executor is not None:
+            return _MasterRun(m, ctx, cfg, executor)
+        streams = streams_from_spec(stream_spec(cfg, m))
+        if arena is not None:
+            arena.add_master(ctx, streams)
+        else:
+            group = cfg.antithetic_group if cfg.antithetic else 1
+            if cfg.pipeline:
+                arena = PipelinedBatchRunner(
+                    ctx,
+                    streams,
+                    cfg.batch_size,
+                    cfg.pipeline_lookahead,
+                    timers=timers,
+                    group=group,
+                )
+            else:
+                arena = SerialBatchRunner(
+                    ctx, streams, cfg.batch_size, timers=timers, group=group
+                )
+        return _MasterRun(m, ctx, cfg, None, arena)
 
     def activate_wave() -> None:
         live = sum(1 for st in active if not st.done)
@@ -210,10 +241,7 @@ def extract_rows_interleaved(
                 for handle in st.inflight.values():
                     handle.result()
         for _ in range(take):
-            m = pending.popleft()
-            active.append(
-                _MasterRun(m, context_for(m), master_config(m), executor)
-            )
+            active.append(admit(pending.popleft()))
 
     activate_wave()
     # Hysteresis state of the variance policy: the weight vector and quota

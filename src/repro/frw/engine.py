@@ -51,6 +51,16 @@ arithmetic is elementwise and draws are keyed by ``(uid, step)``, so
 co-scheduling never changes a walk's numbers — the slot a walk occupies is
 invisible to its arithmetic).
 
+One arena holds the walks of *every* live master of an extraction: each
+master is a lane of the pipeline (its own feed and batch-ordered results;
+its own surface, absorption tolerance, flux prefactor and stream
+provider, looked up by each slot's lane tag), while the lane cap,
+lookahead, spatial index, cube table and dielectric stack are shared.
+A vector step therefore advances all masters' walks at once, so the
+fixed per-step dispatch cost is paid once per step rather than once per
+master — the multi-level parallelism of Sec. III-C mapped onto vector
+lanes.
+
 :func:`run_walks` — the historical batch API — is a thin wrapper running a
 single batch through the pipeline with refilling disabled; it reuses one
 thread-local workspace across calls, so repeated batch runs (e.g. executor
@@ -90,11 +100,14 @@ class WalkResults:
 #: Stage names of :class:`StageTimers`, in reporting order.
 STAGE_NAMES = ("rng", "index_fast", "index", "sample", "retire", "bookkeeping")
 
-#: Lattice-element budget of a fused RNG span pass (see WalkPipeline:
-#: prefetching pays off while fixed dispatch cost dominates, i.e. while the
-#: fused (2 * prefetch, n) counter lattice stays cache-resident; beyond it
-#: the per-step path is faster).  Matches the span kernel's column tile.
-SPAN_FUSE_BUDGET = 16384
+#: Lattice-element budget of a fused RNG span pass (see WalkPipeline).
+#: The span kernel tiles its columns so its working set stays
+#: cache-resident at any width; fusing K steps then beats K per-step
+#: passes while fixed dispatch cost still matters and breaks even from
+#: about 8192 lanes, where a pass is bound by its tiles either way
+#: (2-vCPU x86-64 host, K=8: 1.7x at n=2048, 1.2x at 4096, 1.0x at 8192;
+#: K=2: 1.0x at 8192).  8 column tiles of lattice.
+SPAN_FUSE_BUDGET = 131072
 
 
 @dataclass
@@ -192,6 +205,7 @@ class ArenaWorkspace:
         "grow",
         "row",
         "step_no",
+        "tag",
         "pos",
         "pos_next",
         "eps",
@@ -199,6 +213,8 @@ class ArenaWorkspace:
         "naxis",
         "nsign",
         "u4",
+        "drw",
+        "tol",
         "h",
         "h2",
         "dist",
@@ -219,7 +235,11 @@ class ArenaWorkspace:
         self.ensure(capacity)
 
     def ensure(self, capacity: int) -> None:
-        """Grow every buffer to at least ``capacity`` slots."""
+        """Grow every buffer to at least ``capacity`` slots.
+
+        Growth allocates fresh buffers; a pipeline growing a live arena
+        copies its walks over (:meth:`WalkPipeline.add_lane`).
+        """
         capacity = max(1, int(capacity))
         if capacity <= self.capacity:
             return
@@ -233,6 +253,8 @@ class ArenaWorkspace:
         self.row = np.empty(capacity, dtype=np.int64)
         # uint64 so the RNG's counter build consumes it without a cast copy.
         self.step_no = np.empty(capacity, dtype=np.uint64)
+        # The lane (master) each slot belongs to.
+        self.tag = np.empty(capacity, dtype=np.int64)
         self.pos = np.empty((capacity, 3), dtype=np.float64)
         self.pos_next = np.empty((capacity, 3), dtype=np.float64)
         self.eps = np.empty(capacity, dtype=np.float64)
@@ -240,6 +262,9 @@ class ArenaWorkspace:
         self.naxis = np.empty(capacity, dtype=np.int64)
         self.nsign = np.empty(capacity, dtype=np.float64)
         self.u4 = np.empty((capacity, 4), dtype=np.float64)
+        # Draw scratch of one lane's slots (draws are grouped by lane).
+        self.drw = np.empty((capacity, 3), dtype=np.float64)
+        self.tol = np.empty(capacity, dtype=np.float64)
         self.h = np.empty(capacity, dtype=np.float64)
         self.h2 = np.empty(capacity, dtype=np.float64)
         # Query output buffers for the index's zero-copy ``query_into``.
@@ -288,27 +313,99 @@ def _thread_workspace(capacity: int) -> ArenaWorkspace:
     return ws
 
 
+class _Lane:
+    """One master's share of a :class:`WalkPipeline` arena.
+
+    Holds what is private to the master: its context (Gaussian surface,
+    absorption tolerance, flux prefactor), its stream provider, its UID
+    feed, and its feed/emit cursors into the shared, batch-ordered result
+    window.
+    """
+
+    __slots__ = (
+        "index",
+        "ctx",
+        "streams",
+        "feed",
+        "draws_out",
+        "span_fn",
+        "can_release",
+        "next_feed",
+        "next_emit",
+        "pending",
+        "pending_start_g",
+        "pending_off",
+        "feed_done",
+        "closed",
+    )
+
+    def __init__(self, index, ctx, streams, feed):
+        self.index = index
+        self.ctx = ctx
+        self.streams = streams
+        self.feed = feed
+        try:
+            self.draws_out = "out" in inspect.signature(streams.draws).parameters
+        except (TypeError, ValueError):  # pragma: no cover - exotic providers
+            self.draws_out = False
+        self.span_fn = getattr(streams, "draws_span", None)
+        self.can_release = hasattr(streams, "release")
+        self.next_feed = 0
+        self.next_emit = 0
+        self.pending: np.ndarray | None = None
+        self.pending_start_g = 0
+        self.pending_off = 0
+        self.feed_done = False
+        self.closed = False
+
+    def draws(self, uids: np.ndarray, steps, out: np.ndarray) -> np.ndarray:
+        """One step of hop draws for ``uids`` (into ``out`` when the
+        provider supports it)."""
+        if self.draws_out:
+            return self.streams.draws(uids, steps, 3, out=out)
+        return self.streams.draws(uids, steps, 3)
+
+
 class WalkPipeline:
-    """Refill-capable walk engine with cross-batch pipelining.
+    """Refill-capable walk engine with cross-batch pipelining over one
+    slot arena shared by any number of masters.
+
+    Each master is a *lane* of the arena (:meth:`add_lane`): it brings its
+    own context, stream provider and UID feed and keeps its own
+    batch-ordered results, while every vector step advances the walks of
+    all lanes at once.  The lane cap (``width``), ``lookahead`` and
+    ``group`` are the pipeline's and hold for every lane.  The spatial
+    index, the cube table, ``h_cap``, the dielectric stack and the step
+    settings are shared, so lanes must come from contexts of one
+    structure built over one :class:`~repro.frw.context.SharedAssets`
+    (``ValueError`` otherwise).  Per-master numbers — the absorption
+    tolerance, the first-hop flux prefactor, the launch surface — are
+    gathered by each slot's lane tag, and draws come from each lane's own
+    provider, grouped by lane, so every walk keeps its exact ``(seed,
+    master, uid, step, slot)`` bits.  One lane is the single-master
+    engine.
 
     Parameters
     ----------
     ctx:
-        Extraction context of the master conductor.
+        Extraction context of the first lane's master.
     streams:
-        A per-walk stream provider (``WalkStreams`` or ``MTWalkStreams``).
+        The first lane's per-walk stream provider (``WalkStreams``,
+        ``MirroredDraws`` or ``MTWalkStreams``).
     feed:
         ``feed(batch_index) -> uids | None``; called with consecutive batch
         indices (0, 1, 2, ...) and returns that batch's UID array, or
         ``None`` when the supply is exhausted.
     width:
-        Target active-vector width (normally the batch size); also the slot
-        arena's capacity.
+        The lane cap: most walks of one lane in flight at once (normally
+        the batch size).  The arena's capacity is ``width`` times the
+        number of open lanes.
     lookahead:
-        How many batches beyond the oldest outstanding one may be pulled in
-        to refill freed slots.  ``0`` disables cross-batch refilling (the
-        active set shrinks to a tail within each batch, as the plain batch
-        engine does); the walks' *results* are identical either way.
+        How many batches beyond a lane's oldest outstanding one may be
+        pulled in to refill freed slots.  ``0`` disables cross-batch
+        refilling (the lane shrinks to a tail within each batch, as the
+        plain batch engine does); the walks' *results* are identical
+        either way.
     trace:
         When given, per-step positions of all active walks are appended as
         ``(rows_in_batch, positions)`` tuples (small single-batch runs only;
@@ -327,24 +424,24 @@ class WalkPipeline:
         scheduling preference — walk values are keyed by ``(uid, step)``
         and never depend on co-scheduling — so results are bit-identical
         at any ``group``, and the alignment is waived rather than
-        deadlocking when the arena is empty or a batch tail is shorter
+        deadlocking when the lane is empty or a batch tail is shorter
         than a group.
     prefetch:
-        RNG prefetch depth ``K``: one fused Philox span pass fills the
-        draws for the next ``K`` steps of every live slot into the
-        workspace ring buffer, consumed one plane per step, so the fixed
-        per-call draw-dispatch cost is paid once per ``K`` steps.  The
-        ring is *phase-aligned*: a single cursor is shared by all slots
-        (consuming a plane is a zero-dispatch view), launches prefetch a
-        partial span that joins the global phase, and retirement
-        compaction moves ring columns with the other slot state — so the
-        per-slot cursor is simply ``(step_no[i], cursor)``.  Because
-        draws are pure functions of ``(seed, uid, step, slot)``, results
-        are bit-identical at every depth (prefetching can only compute
-        draws a retired walk never consumes).  ``None`` takes the depth
-        from ``ctx.config.rng_prefetch_depth``; depth 1 — or a stream
-        provider without ``draws_span`` (the MT ablation) — keeps the
-        per-step draw path.
+        RNG prefetch depth ``K``: one fused Philox span pass per lane
+        fills the draws for the next ``K`` steps of every live slot into
+        the workspace ring buffer, consumed one plane per step, so the
+        fixed per-call draw-dispatch cost is paid once per ``K`` steps.
+        The ring is *phase-aligned*: a single cursor is shared by all
+        slots (consuming a plane is a zero-dispatch view), launches
+        prefetch a partial span that joins the global phase, and
+        retirement compaction moves ring columns with the other slot
+        state — so the per-slot cursor is simply ``(step_no[i], cursor)``.
+        Because draws are pure functions of ``(seed, uid, step, slot)``,
+        results are bit-identical at every depth (prefetching can only
+        compute draws a retired walk never consumes).  ``None`` takes the
+        depth from ``ctx.config.rng_prefetch_depth``; depth 1 — or a
+        stream provider without ``draws_span`` (the MT ablation) — keeps
+        the per-step draw path.
     """
 
     def __init__(
@@ -360,26 +457,21 @@ class WalkPipeline:
         group: int = 1,
         prefetch: int | None = None,
     ):
-        self.ctx = ctx
-        self.streams = streams
-        self.feed = feed
-        self.width = max(1, int(width))
-        self.lookahead = max(0, int(lookahead))
-        self.group = max(1, int(group))
+        cfg = ctx.config
         self.trace = trace
         self._timers = timers
+        self._structure = ctx.structure
         self._stack = ctx.structure.dielectric
         self._interfaces = self._stack._z  # () for homogeneous
         self._enclosure_index = ctx.enclosure_index
+        self._index = ctx.index
         self._table = ctx.table
-        self._flux_scale = ctx.flux_scale
-        self._can_release = hasattr(streams, "release")
-        try:
-            self._draws_out = (
-                "out" in inspect.signature(streams.draws).parameters
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic providers
-            self._draws_out = False
+        self._h_cap = ctx.h_cap
+        self._step_settings = (
+            cfg.max_steps,
+            cfg.interface_snap_fraction,
+            cfg.first_hop_interface_floor,
+        )
         enc = ctx.structure.enclosure
         self._enc_lo = np.asarray(enc.lo, dtype=np.float64)
         self._enc_hi = np.asarray(enc.hi, dtype=np.float64)
@@ -387,16 +479,22 @@ class WalkPipeline:
         # one (GridIndex); falls back to the allocating ``query``.
         self._query_into = getattr(ctx.index, "query_into", None)
 
-        self._next_feed = 0
-        self._next_emit = 0
-        self._pending: np.ndarray | None = None
-        self._pending_start_g = 0
-        self._pending_off = 0
-        self._feed_done = False
+        # Lanes: every lane ever added (its id is its position), the open
+        # ones in id order, and per-lane tables gathered by slot tag.
+        self._lanes: list[_Lane] = []
+        self._open: list[_Lane] = []
+        self._cap = max(1, int(width))
+        self.lookahead = max(0, int(lookahead))
+        self.group = max(1, int(group))
+        self._releasing = False
+        self._lane_n = np.zeros(0, dtype=np.int64)
+        self._lane_tol = np.zeros(0, dtype=np.float64)
+        self._lane_flux = np.zeros(0, dtype=np.float64)
 
-        # Flat result window over the outstanding (fed, unemitted) batches.
-        # Each walk banks its outcome by *global row* — a scatter write, no
-        # per-batch grouping loops.
+        # Flat result window over the outstanding (fed, unemitted) batches
+        # of every lane, in feed order.  Each walk banks its outcome by
+        # *global row* — a scatter write, no per-batch grouping loops.
+        self._win_lane: list[int] = []
         self._win_uids: list[np.ndarray] = []
         self._win_sizes: list[int] = []
         self._win_starts = np.empty(0, dtype=np.int64)  # global start rows
@@ -409,38 +507,44 @@ class WalkPipeline:
         self._next_g = 0  # next global row to assign
 
         # Slot arena: active walks occupy [0, n); everything past is free.
-        ws = workspace if workspace is not None else ArenaWorkspace(self.width)
-        ws.ensure(self.width)
+        self.width = 0
+        ws = workspace if workspace is not None else ArenaWorkspace(width)
+        ws.ensure(width)
         self._ws = ws
-        self._uid = ws.uid
-        self._grow = ws.grow
-        self._row = ws.row
-        self._step_no = ws.step_no
-        self._pos = ws.pos
-        self._pos_next = ws.pos_next
-        self._eps = ws.eps
-        self._first = ws.first
-        self._naxis = ws.naxis
-        self._nsign = ws.nsign
         self._n = 0
         self._have_first = False
         self._cond_q = None  # conductor ids handed from index to absorb
 
         # RNG prefetch ring (see the `prefetch` parameter docs).
         if prefetch is None:
-            prefetch = getattr(ctx.config, "rng_prefetch_depth", 1)
+            prefetch = getattr(cfg, "rng_prefetch_depth", 1)
         span_fn = getattr(streams, "draws_span", None)
         self.prefetch = max(1, int(prefetch)) if span_fn is not None else 1
+        # Fuse while the (2K, n) span lattice stays within the budget;
+        # past it a fused pass is no faster than K per-step passes and the
+        # step takes the per-step path with the ring parked drained.
+        self._span_max_n = max(1, SPAN_FUSE_BUDGET // (2 * self.prefetch))
+        # cursor == prefetch means "ring drained": the next step (or
+        # launch) refills before consuming.
+        self._ring_cursor = self.prefetch
+        self._bind_workspace()
+        self.add_lane(ctx, streams, feed)
+
+    def _bind_workspace(self) -> None:
+        """Point the slot-state references at the workspace buffers."""
+        ws = self._ws
+        self._uid = ws.uid
+        self._grow = ws.grow
+        self._row = ws.row
+        self._step_no = ws.step_no
+        self._tag = ws.tag
+        self._pos = ws.pos
+        self._pos_next = ws.pos_next
+        self._eps = ws.eps
+        self._first = ws.first
+        self._naxis = ws.naxis
+        self._nsign = ws.nsign
         if self.prefetch > 1:
-            self._span_fn = span_fn
-            # Fuse only when the whole (2K, n) span lattice fits one
-            # cache-resident pass: fusing amortizes *fixed dispatch cost*,
-            # which dominates at small-to-mid vector widths (the pipeline's
-            # long-tail regime) but vanishes at full width, where a fused
-            # pass only adds cache pressure (measured 0.4x at n=8192,
-            # K=4).  Above the threshold the step falls back to the
-            # per-step draw path with the ring parked drained.
-            self._span_max_n = max(1, SPAN_FUSE_BUDGET // (2 * self.prefetch))
             ws.ensure_ring(self.prefetch)
             # Slot-major storage; the `_v` views expose the (depth, n,
             # count) axis order draws_span expects, sharing the memory.
@@ -448,42 +552,164 @@ class WalkPipeline:
             self._ring_v = self._ring.transpose(0, 2, 1)
             self._span_u = ws.span_u[: self.prefetch + 1]
             self._span_v = self._span_u.transpose(0, 2, 1)
-            # cursor == prefetch means "ring drained": the next step (or
-            # launch) refills before consuming.
-            self._ring_cursor = self.prefetch
         else:
-            self._span_fn = None
             self._ring = None
+
+    def _slot_state(self) -> tuple:
+        """The per-slot walk state arrays, in a fixed order."""
+        return (
+            self._uid,
+            self._grow,
+            self._row,
+            self._step_no,
+            self._tag,
+            self._eps,
+            self._first,
+            self._naxis,
+            self._nsign,
+            self._pos,
+        )
 
     @property
     def active(self) -> int:
-        """Number of in-flight walks."""
+        """Number of in-flight walks (all lanes)."""
         return self._n
 
-    @property
-    def outstanding_batches(self) -> int:
-        """Batches fed but not yet emitted."""
-        return self._next_feed - self._next_emit
+    # ------------------------------------------------------------------
+    # Lanes
+    # ------------------------------------------------------------------
+    def add_lane(
+        self,
+        ctx: ExtractionContext,
+        streams,
+        feed: Callable[[int], np.ndarray | None],
+    ) -> int:
+        """Admit another master's walk stream into the arena.
+
+        ``streams`` and ``feed`` mean what they mean for the first lane
+        (see the class docs).  Returns the lane id that :meth:`next_batch`
+        and :meth:`close_lane` take.  Walks of lanes already in flight keep
+        running; the arena grows by one lane cap, copying the live slots
+        over.
+        """
+        if self._lanes:
+            cfg = ctx.config
+            if (
+                ctx.structure is not self._structure
+                or ctx.index is not self._index
+                or ctx.table is not self._table
+                or ctx.h_cap != self._h_cap
+                or (
+                    cfg.max_steps,
+                    cfg.interface_snap_fraction,
+                    cfg.first_hop_interface_floor,
+                )
+                != self._step_settings
+            ):
+                raise ValueError(
+                    "lanes of one WalkPipeline must share the structure, the "
+                    "spatial index, the cube table, h_cap and the step "
+                    "settings (build their contexts over one SharedAssets)"
+                )
+        lane = _Lane(len(self._lanes), ctx, streams, feed)
+        if self._ring is not None and lane.span_fn is None:
+            raise ValueError(
+                "a prefetching WalkPipeline needs draws_span on every lane's "
+                "stream provider"
+            )
+        self._lanes.append(lane)
+        self._open.append(lane)
+        self._lane_n = np.append(self._lane_n, 0)
+        self._lane_tol = np.append(self._lane_tol, ctx.absorb_tol)
+        self._lane_flux = np.append(self._lane_flux, ctx.flux_scale)
+        self._lanes_changed()
+        if self.width > self._ws.capacity:
+            self._resize(self.width)
+        return lane.index
+
+    def close_lane(self, lane: int) -> None:
+        """Evict a lane: its in-flight walks leave the arena unbanked and
+        its outstanding batches are dropped (a master whose stopping rule
+        fired).  Idempotent; other lanes' walks and results are
+        untouched."""
+        ln = self._lanes[lane]
+        if ln.closed:
+            return
+        n = self._n
+        count = int(self._lane_n[ln.index])
+        if count:
+            gone = np.equal(self._tag[:n], ln.index, out=self._ws.b0[:n])
+            if ln.can_release:
+                ln.streams.release(self._uid[:n][gone])
+            self._compact(gone, count)
+            self._lane_n[ln.index] = 0
+        keep = [i for i, t in enumerate(self._win_lane) if t != ln.index]
+        if len(keep) < len(self._win_lane):
+            self._win_lane = [self._win_lane[i] for i in keep]
+            self._win_uids = [self._win_uids[i] for i in keep]
+            self._win_sizes = [self._win_sizes[i] for i in keep]
+            self._win_starts = self._win_starts[keep]
+            self._win_remaining = self._win_remaining[keep]
+            self._win_truncated = self._win_truncated[keep]
+            self._trim_window()
+        ln.closed = True
+        ln.feed_done = True
+        ln.pending = None
+        self._open.remove(ln)
+        self._lanes_changed()
+
+    def _lanes_changed(self) -> None:
+        self._releasing = any(ln.can_release for ln in self._open)
+        self.width = self._cap * len(self._open)
+
+    def _resize(self, capacity: int) -> None:
+        """Grow a live arena, carrying its walks (and their unconsumed
+        prefetched draws) over to the new buffers."""
+        n = self._n
+        live = self._slot_state()
+        ring, c = self._ring, self._ring_cursor
+        self._ws.ensure(capacity)
+        self._bind_workspace()
+        if n:
+            for new, old in zip(self._slot_state(), live):
+                new[:n] = old[:n]
+            if ring is not None and c < self.prefetch:
+                self._ring[c:, :, :n] = ring[c:, :, :n]
+
+    def _groups(self, n: int):
+        """``(lane, slot indices)`` of every lane with live walks, in lane
+        order (each lane's slots draw from that lane's provider)."""
+        order = np.argsort(self._tag[:n], kind="stable")
+        start = 0
+        for lane in self._open:
+            m = int(self._lane_n[lane.index])
+            if m:
+                yield lane, order[start : start + m]
+                start += m
 
     # ------------------------------------------------------------------
     # Feeding and launching
     # ------------------------------------------------------------------
-    def _ensure_pending(self) -> bool:
+    def _ensure_pending(self, lane: _Lane) -> bool:
         """Make sure un-launched UIDs are available; False when starved."""
         while True:
             if (
-                self._pending is not None
-                and self._pending_off < self._pending.shape[0]
+                lane.pending is not None
+                and lane.pending_off < lane.pending.shape[0]
             ):
                 return True
-            if self._feed_done or self._next_feed > self._next_emit + self.lookahead:
+            if (
+                lane.feed_done
+                or lane.next_feed > lane.next_emit + self.lookahead
+            ):
                 return False
-            uids = self.feed(self._next_feed)
+            uids = lane.feed(lane.next_feed)
             if uids is None:
-                self._feed_done = True
+                lane.feed_done = True
                 return False
             uids = np.asarray(uids, dtype=np.uint64)
             n = uids.shape[0]
+            self._win_lane.append(lane.index)
             self._win_uids.append(uids)
             self._win_sizes.append(n)
             self._win_starts = np.append(self._win_starts, self._next_g)
@@ -499,39 +725,46 @@ class WalkPipeline:
                 self._res_steps = np.concatenate(
                     [self._res_steps, np.zeros(n, dtype=np.int64)]
                 )
-            self._pending = uids
-            self._pending_start_g = self._next_g
-            self._pending_off = 0
+            lane.pending = uids
+            lane.pending_start_g = self._next_g
+            lane.pending_off = 0
             self._next_g += n
-            self._next_feed += 1
+            lane.next_feed += 1
 
     def _refill(self) -> None:
         launched = False
-        while self._n < self.width and self._ensure_pending():
-            off = self._pending_off
-            remaining = self._pending.shape[0] - off
-            take = min(self.width - self._n, remaining)
-            if self.group > 1 and take < remaining:
-                # Keep groups launching together: round the take down to
-                # whole groups (a take that drains the batch is already
-                # aligned when the feed is group-sized, and is allowed
-                # regardless so odd batch tails cannot wedge the feed).
-                aligned = take - take % self.group
-                if aligned == 0 and self._n > 0:
-                    # Fewer free slots than a group while walks are in
-                    # flight: let retires free a whole group's worth.
-                    break
-                if aligned > 0:
-                    take = aligned
-            uids = self._pending[off : off + take]
-            self._pending_off = off + take
-            self._launch(uids, self._pending_start_g, off)
-            launched = True
+        cap, group = self._cap, self.group
+        for lane in self._open:
+            free = cap - int(self._lane_n[lane.index])
+            while free > 0 and self._ensure_pending(lane):
+                off = lane.pending_off
+                remaining = lane.pending.shape[0] - off
+                take = min(free, remaining)
+                if group > 1 and take < remaining:
+                    # Keep groups launching together: round the take down
+                    # to whole groups (a take that drains the batch is
+                    # already aligned when the feed is group-sized, and is
+                    # allowed regardless so odd batch tails cannot wedge
+                    # the feed).
+                    aligned = take - take % group
+                    if aligned == 0 and free < cap:
+                        # Fewer free slots than a group while the lane has
+                        # walks in flight: let retires free a whole group.
+                        break
+                    if aligned > 0:
+                        take = aligned
+                uids = lane.pending[off : off + take]
+                lane.pending_off = off + take
+                self._launch(lane, uids, lane.pending_start_g, off)
+                free -= take
+                launched = True
         if launched and self.trace is not None:
             n = self._n
             self.trace.append((self._row[:n].copy(), self._pos[:n].copy()))
 
-    def _launch(self, uids: np.ndarray, start_g: int, off: int) -> None:
+    def _launch(
+        self, lane: _Lane, uids: np.ndarray, start_g: int, off: int
+    ) -> None:
         """Scatter-write freshly launched walks into free tail slots."""
         tm = self._timers
         if tm is not None:
@@ -549,18 +782,16 @@ class WalkPipeline:
             # join; the plain per-step draw below is the cheaper dispatch.)
             c = self._ring_cursor
             r = self.prefetch - c
-            span = self._span_fn(
+            span = lane.span_fn(
                 uids, 0, r + 1, 3, out=self._span_v[: r + 1, :k]
             )
             u = span[0]
             self._ring[c:, :, sl] = self._span_u[1 : r + 1, :, :k]
-        elif self._draws_out:
-            u = self.streams.draws(uids, 0, 3, out=self._ws.u4[:k])
         else:
-            u = self.streams.draws(uids, 0, 3)
+            u = lane.draws(uids, 0, self._ws.u4[:k])
         if tm is not None:
             t0 = tm.lap("rng", t0)
-        pos, naxis, nsign = self.ctx.surface.sample(u)
+        pos, naxis, nsign = lane.ctx.surface.sample(u)
         eps = self._stack.eps_at(pos[:, 2])
         if tm is not None:
             t0 = tm.lap("sample", t0)
@@ -570,12 +801,14 @@ class WalkPipeline:
         )
         self._row[sl] = np.arange(off, off + k, dtype=np.int64)
         self._step_no[sl] = 1
+        self._tag[sl] = lane.index
         self._pos[sl] = pos
         self._eps[sl] = eps
         self._first[sl] = True
         self._naxis[sl] = naxis
         self._nsign[sl] = nsign
         self._n = n + k
+        self._lane_n[lane.index] += k
         self._have_first = True
         if tm is not None:
             tm.lap("bookkeeping", t0)
@@ -611,27 +844,28 @@ class WalkPipeline:
         self._win_remaining -= counts
         if truncated:
             self._win_truncated += counts
-        if self._can_release:
+        tags = self._tag[:n][done]
+        self._lane_n -= np.bincount(tags, minlength=self._lane_n.shape[0])
+        if self._releasing:
             # Each stream is released exactly once, when its walk retires
             # (matters for the MTWalkStreams per-walk state cache).
-            self.streams.release(self._uid[:n][done])
-        n_done = dest.shape[0]
+            uids = self._uid[:n][done]
+            for lane in self._open:
+                if lane.can_release:
+                    lane.streams.release(uids[tags == lane.index])
+        self._compact(done, dest.shape[0], extra)
+
+    def _compact(
+        self, done: np.ndarray, n_done: int, extra: tuple = ()
+    ) -> None:
+        """Drop the masked slots by moving kept tail walks into the holes."""
+        n = self._n
         n_new = n - n_done
         movers = n_new + np.nonzero(~done[n_new:n])[0]
         holes = np.nonzero(done[:n_new])[0]
         if holes.shape[0]:
-            for arr in (
-                self._uid,
-                self._grow,
-                self._row,
-                self._step_no,
-                self._eps,
-                self._first,
-                self._naxis,
-                self._nsign,
-            ):
+            for arr in self._slot_state():
                 arr[holes] = arr[movers]
-            self._pos[holes] = self._pos[movers]
             if self._ring is not None:
                 # Unconsumed prefetched planes travel with their slot; the
                 # phase alignment (plane c+j = step step_no+j) is preserved
@@ -652,18 +886,19 @@ class WalkPipeline:
     # ------------------------------------------------------------------
     def _step(self) -> None:
         """Advance every active walk by one hop (identical math to the
-        historical batch loop; walks at different depths mix freely because
-        all per-walk operations are elementwise).
+        historical batch loop; walks at different depths — and of
+        different lanes — mix freely because all per-walk operations are
+        elementwise).
 
         The step is a pipeline of cohort-wise stage kernels —
         ``stage_retire_overcap -> stage_index -> stage_absorb ->
         stage_rng -> stage_sample`` — communicating through workspace
         views (the boolean cohort masks ``b0..b4`` and the distance
         buffers).  The RNG stage consumes a prefetched ring plane on most
-        steps (one fused span dispatch per ``prefetch`` steps), so the
-        per-step fixed dispatch cost of the largest stage amortizes away;
-        each stage runs one large numpy kernel cohort over the dense slot
-        prefix rather than interleaving small ones.
+        steps (one fused span dispatch per lane per ``prefetch`` steps),
+        so the per-step fixed dispatch cost of the largest stage
+        amortizes away; each stage runs one large numpy kernel cohort over
+        the dense slot prefix rather than interleaving small ones.
         """
         if self._n == 0:
             return
@@ -687,11 +922,12 @@ class WalkPipeline:
     def _stage_retire_overcap(self, t0: float) -> float:
         """Safety net: retire over-cap survivors as absorbed by the
         enclosure (counted as truncated)."""
-        cfg = self.ctx.config
         ws = self._ws
         tm = self._timers
         n = self._n
-        over = np.greater(self._step_no[:n], cfg.max_steps, out=ws.b0[:n])
+        over = np.greater(
+            self._step_no[:n], self._step_settings[0], out=ws.b0[:n]
+        )
         n_over = int(np.count_nonzero(over))
         if n_over:
             dest = np.full(n_over, self._enclosure_index, dtype=np.int64)
@@ -723,14 +959,20 @@ class WalkPipeline:
             else:
                 self._query_into(pos, dist_c, cond)
         else:
-            dist_c, cond = self.ctx.index.query(pos)
-        # Enclosure distance inline (cached wall arrays, reusable buffers).
-        np.minimum(
-            (pos - self._enc_lo[None, :]).min(axis=1),
-            (self._enc_hi[None, :] - pos).min(axis=1),
-            out=ws.h[:n],
-        )
+            dist_c, cond = self._index.query(pos)
+        # Enclosure distance inline, axis by axis on 1-D column views into
+        # reusable buffers: an (n, 3) temporary reduced along its short
+        # axis costs about 10x more at arena widths (the minimum is the
+        # same either way).
         dist_e = ws.h[:n]
+        tmp = ws.h2[:n]
+        lo, hi = self._enc_lo, self._enc_hi
+        np.subtract(pos[:, 0], lo[0], out=dist_e)
+        for a in range(3):
+            col = pos[:, a]
+            if a:
+                np.minimum(dist_e, np.subtract(col, lo[a], out=tmp), out=dist_e)
+            np.minimum(dist_e, np.subtract(hi[a], col, out=tmp), out=dist_e)
         if tm is not None:
             t0 = tm.lap("index", t0)
         # Hand the conductor ids to the absorb stage (a workspace view on
@@ -745,7 +987,7 @@ class WalkPipeline:
         tm = self._timers
         n = self._n
         cond = self._cond_q
-        tol = self.ctx.absorb_tol
+        tol = np.take(self._lane_tol, self._tag[:n], out=ws.tol[:n])
         absorb_wall = np.less(dist_e, tol, out=ws.b0[:n])
         absorb_cond = np.less(dist_c, tol, out=ws.b1[:n])
         absorb_cond &= np.greater_equal(cond, 0, out=ws.b2[:n])
@@ -786,8 +1028,9 @@ class WalkPipeline:
         """Hop draws for the surviving cohort.
 
         With the prefetch ring, most steps consume a ready plane (a
-        zero-dispatch view); one fused span pass per ``prefetch`` steps
-        refills all planes for every live slot in a single dispatch.
+        zero-dispatch view); one fused span pass per lane per
+        ``prefetch`` steps refills all planes for every live slot.  Each
+        lane's slots draw from that lane's own provider.
         """
         ws = self._ws
         tm = self._timers
@@ -800,17 +1043,21 @@ class WalkPipeline:
                 # contiguous; consuming a ready plane dispatches nothing.
                 return t0, self._ring_v[c, :n]
             if n <= self._span_max_n:
-                # Ring drained and the fused lattice is cache-resident:
+                # Ring drained and the fused lattice is within budget:
                 # every live slot (including walks launched mid-ring, whose
                 # partial spans drained at the same phase) needs steps
-                # step_no .. step_no+K-1 — one fused pass.
-                self._span_fn(
-                    self._uid[:n],
-                    self._step_no[:n],
-                    self.prefetch,
-                    3,
-                    out=self._ring_v[:, :n],
-                )
+                # step_no .. step_no+K-1 — one fused pass per lane.
+                k = self.prefetch
+                for lane, idx in self._groups(n):
+                    m = idx.shape[0]
+                    lane.span_fn(
+                        self._uid[idx],
+                        self._step_no[idx],
+                        k,
+                        3,
+                        out=self._span_v[:k, :m],
+                    )
+                    self._ring[:, :, idx] = self._span_u[:k, :, :m]
                 if tm is not None:
                     t0 = tm.lap("rng", t0)
                 self._ring_cursor = 1
@@ -818,19 +1065,18 @@ class WalkPipeline:
             # Vector too wide to fuse profitably: per-step draws, ring
             # stays parked drained (launches then prefetch nothing, so
             # the phase invariant holds trivially).
-        if self._draws_out:
-            u = self.streams.draws(
-                self._uid[:n], self._step_no[:n], 3, out=ws.u4[:n]
+        u = ws.u4[:n, :3]
+        for lane, idx in self._groups(n):
+            u[idx] = lane.draws(
+                self._uid[idx], self._step_no[idx], ws.drw[: idx.shape[0]]
             )
-        else:
-            u = self.streams.draws(self._uid[:n], self._step_no[:n], 3)
         if tm is not None:
             t0 = tm.lap("rng", t0)
         return t0, u
 
     def _stage_sample(self, t0: float, u, dist_c, dist_e) -> None:
         """Transition sampling and position update for the cohort."""
-        cfg = self.ctx.config
+        _, snap, floor = self._step_settings
         ws = self._ws
         tm = self._timers
         n = self._n
@@ -838,7 +1084,7 @@ class WalkPipeline:
         # allow = min(dist_c, dist_e, h_cap); dist_c is dead after this and
         # is reused as the destination buffer.
         allow = np.minimum(dist_c, dist_e, out=dist_c)
-        np.minimum(allow, self.ctx.h_cap, out=allow)
+        np.minimum(allow, self._h_cap, out=allow)
         first = self._first[:n]
 
         homogeneous = self._stack.is_homogeneous
@@ -852,9 +1098,7 @@ class WalkPipeline:
             # normal-gradient estimator across the interface, so the flux
             # weight must come from an interface-clamped cube (the context
             # guarantees launch points keep clearance from interfaces).
-            on_iface = np.less(
-                dist_i, cfg.interface_snap_fraction * allow, out=ws.b0[:n]
-            )
+            on_iface = np.less(dist_i, snap * allow, out=ws.b0[:n])
             on_iface &= np.logical_not(first, out=ws.b1[:n])
             n_iface = int(np.count_nonzero(on_iface))
 
@@ -866,7 +1110,6 @@ class WalkPipeline:
                 h = allow
             else:
                 h = np.minimum(allow, dist_i, out=ws.h2[:n])
-            floor = cfg.first_hop_interface_floor
             if self._have_first and floor > 0.0:
                 fc_mask = first
                 if np.any(fc_mask):
@@ -887,7 +1130,7 @@ class WalkPipeline:
                 if fc.shape[0]:
                     ratio = self._table.grad_ratio[self._naxis[fc], cells[fc]]
                     omega = (
-                        -self._flux_scale
+                        -self._lane_flux[self._tag[fc]]
                         * self._eps[fc]
                         * self._nsign[fc]
                         * ratio
@@ -906,7 +1149,6 @@ class WalkPipeline:
                 # interfaces (the cube then crosses the interface slightly —
                 # a small, bounded bias instead of unbounded weight
                 # variance).
-                floor = cfg.first_hop_interface_floor
                 if floor > 0.0 and np.any(first[cube]):
                     fc_mask = first[cube]
                     h[fc_mask] = np.maximum(
@@ -922,7 +1164,7 @@ class WalkPipeline:
                         self._naxis[cube_idx], cells[fc]
                     ]
                     omega = (
-                        -self._flux_scale
+                        -self._lane_flux[self._tag[cube_idx]]
                         * self._eps[cube_idx]
                         * self._nsign[cube_idx]
                         * ratio
@@ -939,7 +1181,7 @@ class WalkPipeline:
                 allow[on_iface] - dist_i[on_iface],
                 _other_interface_gap(self._interfaces, k),
             )
-            r = np.maximum(r, 0.5 * self.ctx.absorb_tol)
+            r = np.maximum(r, 0.5 * self._lane_tol[self._tag[:n][on_iface]])
             direction = interface_hemisphere_direction(
                 u[on_iface, 0],
                 u[on_iface, 1],
@@ -967,42 +1209,60 @@ class WalkPipeline:
     # ------------------------------------------------------------------
     # Batch emission
     # ------------------------------------------------------------------
-    def _emit_front(self) -> WalkResults:
-        """Slice the completed oldest batch out of the result window."""
-        n0 = self._win_sizes.pop(0)
-        uids = self._win_uids.pop(0)
-        truncated = int(self._win_truncated[0])
-        self._win_starts = self._win_starts[1:]
-        self._win_remaining = self._win_remaining[1:]
-        self._win_truncated = self._win_truncated[1:]
+    def _trim_window(self) -> None:
+        """Drop result rows before the oldest outstanding batch."""
+        base = int(self._win_starts[0]) if self._win_sizes else self._next_g
+        drop = base - self._win_base_g
+        if drop:
+            self._res_omega = self._res_omega[drop:]
+            self._res_dest = self._res_dest[drop:]
+            self._res_steps = self._res_steps[drop:]
+            self._win_base_g = base
+
+    def _emit(self, lane: _Lane, pos: int) -> WalkResults:
+        """Slice a lane's completed oldest batch (window entry ``pos``)
+        out of the result window."""
+        n0 = self._win_sizes.pop(pos)
+        uids = self._win_uids.pop(pos)
+        self._win_lane.pop(pos)
+        start = int(self._win_starts[pos]) - self._win_base_g
+        truncated = int(self._win_truncated[pos])
+        self._win_starts = np.delete(self._win_starts, pos)
+        self._win_remaining = np.delete(self._win_remaining, pos)
+        self._win_truncated = np.delete(self._win_truncated, pos)
+        rows = slice(start, start + n0)
         res = WalkResults(
             uids=uids,
-            omega=self._res_omega[:n0].copy(),
-            dest=self._res_dest[:n0].copy(),
-            steps=self._res_steps[:n0].copy(),
+            omega=self._res_omega[rows].copy(),
+            dest=self._res_dest[rows].copy(),
+            steps=self._res_steps[rows].copy(),
             truncated=truncated,
         )
-        self._res_omega = self._res_omega[n0:]
-        self._res_dest = self._res_dest[n0:]
-        self._res_steps = self._res_steps[n0:]
-        self._win_base_g += n0
-        self._next_emit += 1
+        lane.next_emit += 1
+        if pos == 0:
+            self._trim_window()
         return res
 
-    def next_batch(self) -> WalkResults | None:
-        """Run until the oldest outstanding batch completes and return it.
+    def next_batch(self, lane: int = 0) -> WalkResults | None:
+        """Step the arena until ``lane``'s oldest outstanding batch
+        completes and return it.
 
-        Slots freed by retiring walks are refilled with UIDs from up to
-        ``lookahead`` batches ahead, so later batches are typically already
-        in flight (or finished and banked) when their turn comes.  Returns
-        ``None`` when the feed is exhausted and no batch is outstanding.
+        Every lane's freed slots are refilled with UIDs from up to its
+        ``lookahead`` batches ahead, and every step advances the walks of
+        all lanes, so other lanes' batches bank their results along the
+        way.  Returns ``None`` when the lane's feed is exhausted and no
+        batch of it is outstanding.
         """
+        ln = self._lanes[lane]
+        if ln.closed:
+            raise ValueError(f"lane {lane} is closed")
         while True:
             self._refill()
-            if self._win_remaining.shape[0]:
-                if self._win_remaining[0] == 0:
-                    return self._emit_front()
-            elif self._feed_done:
+            if ln.next_feed > ln.next_emit:
+                pos = self._win_lane.index(ln.index)
+                if self._win_remaining[pos] == 0:
+                    return self._emit(ln, pos)
+            elif ln.feed_done:
                 return None
             self._step()
 

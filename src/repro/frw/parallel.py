@@ -14,12 +14,16 @@ under the GIL, and a thread pool ran slower than the in-process serial
 engine (docs/PERFORMANCE.md, layer 1).
 
 On top of the executor sit the *batch runners* used by
-``extract_row_alg2``: each runner exposes ``run_batch(batch_index)`` and
-differs only in how the walks are scheduled:
+``extract_row_alg2`` and the cross-master scheduler: each runner exposes
+``run_batch(batch_index)`` and differs only in how the walks are
+scheduled:
 
 * :class:`SerialBatchRunner` — the historical one-batch-at-a-time engine.
 * :class:`PipelinedBatchRunner` — one refill-capable
-  :class:`~repro.frw.engine.WalkPipeline` spanning all batches.
+  :class:`~repro.frw.engine.WalkPipeline` spanning all batches.  Both
+  in-process runners can hold several masters in one slot arena
+  (``add_master``), which is how the serial scheduler runs every live
+  master through one engine.
 * :class:`ProcessBatchRunner` — chunks dispatched to the persistent
   process pool, with cross-batch *dispatch pipelining*: while batch ``u``
   is being harvested, chunks of batches ``u+1 .. u+lookahead`` are already
@@ -36,8 +40,9 @@ start method (``fork``, ``spawn``, ``forkserver``).  The legacy
 fork-inheritance protocol survives behind ``shared_context=False``.
 
 Every path reuses the engine's slot arena across batches: the in-process
-runners own persistent :class:`~repro.frw.engine.WalkPipeline` instances
-(one arena each, alive for the whole run), and chunk tasks that go through
+runners own a persistent :class:`~repro.frw.engine.WalkPipeline` (one
+arena, shared by all of their masters and alive for the whole run), and
+chunk tasks that go through
 :func:`~repro.frw.engine.run_walks` in pool workers hit its per-thread
 workspace cache, so steady-state batch execution allocates no walk-state
 arrays anywhere.
@@ -537,48 +542,18 @@ def _batch_feed(batch_size: int):
     return feed
 
 
-class SerialBatchRunner:
-    """One batch at a time through the plain engine (the historical path).
+class _ArenaRunner:
+    """Batches of one or more masters through one shared slot arena.
 
-    Implemented as a *persistent* lookahead-0 :class:`WalkPipeline`: with
-    no lookahead, each batch drains completely before the next one feeds,
-    so the schedule — and therefore every result bit — is identical to
-    calling :func:`run_walks` per batch, but the slot arena and step
-    scratch are allocated once and reused for the whole run.
+    Wraps a :class:`WalkPipeline` whose lanes are masters, all with the
+    same ``batch_size`` lane cap, lookahead and antithetic group.  The
+    runner is built for its first master; :meth:`add_master` admits more.
+    ``run_batch(u, master)`` steps the shared arena until that master's
+    next batch is complete (other masters' walks advance and bank their
+    results along the way) and returns it in UID order; ``close(master)``
+    evicts a master whose stopping rule fired.  With one master and
+    ``master=None`` this is the plain per-master runner.
     """
-
-    def __init__(
-        self,
-        ctx: ExtractionContext,
-        streams,
-        batch_size: int,
-        timers: StageTimers | None = None,
-        group: int = 1,
-        prefetch: int | None = None,
-    ):
-        self.ctx = ctx
-        self.streams = streams
-        self.batch_size = int(batch_size)
-        self._pipe = WalkPipeline(
-            ctx,
-            streams,
-            _batch_feed(self.batch_size),
-            width=self.batch_size,
-            lookahead=0,
-            timers=timers,
-            group=group,
-            prefetch=prefetch,
-        )
-
-    def run_batch(self, batch_index: int) -> WalkResults:
-        return self._pipe.next_batch()
-
-    def close(self) -> None:
-        pass
-
-
-class PipelinedBatchRunner:
-    """A single refill pipeline spanning all batches (serial hardware)."""
 
     def __init__(
         self,
@@ -590,22 +565,77 @@ class PipelinedBatchRunner:
         group: int = 1,
         prefetch: int | None = None,
     ):
+        self.batch_size = int(batch_size)
         self._pipe = WalkPipeline(
             ctx,
             streams,
-            _batch_feed(batch_size),
-            width=batch_size,
+            _batch_feed(self.batch_size),
+            width=self.batch_size,
             lookahead=lookahead,
             timers=timers,
             group=group,
             prefetch=prefetch,
         )
+        self._first = ctx.master
+        self._lanes = {ctx.master: 0}
 
-    def run_batch(self, batch_index: int) -> WalkResults:
-        return self._pipe.next_batch()
+    def add_master(self, ctx: ExtractionContext, streams) -> None:
+        """Admit another master's batch stream into the shared arena."""
+        if ctx.master in self._lanes:
+            raise ValueError(f"master {ctx.master} already runs in this arena")
+        self._lanes[ctx.master] = self._pipe.add_lane(
+            ctx, streams, _batch_feed(self.batch_size)
+        )
 
-    def close(self) -> None:
-        pass
+    def run_batch(
+        self, batch_index: int, master: int | None = None
+    ) -> WalkResults:
+        """The master's next batch (batches come in order; ``batch_index``
+        names it for the runner API).  ``None`` is the first master."""
+        return self._pipe.next_batch(
+            self._lanes[self._first if master is None else master]
+        )
+
+    def close(self, master: int | None = None) -> None:
+        """Evict one master's walks (``None``: every master's)."""
+        masters = list(self._lanes) if master is None else [master]
+        for m in masters:
+            self._pipe.close_lane(self._lanes[m])
+
+
+class SerialBatchRunner(_ArenaRunner):
+    """One batch at a time per master (the historical path).
+
+    A persistent lookahead-0 arena: each master's batch drains completely
+    before its next one feeds, so the schedule — and therefore every
+    result bit — is identical to calling :func:`run_walks` per batch, but
+    the slot arena and step scratch are allocated once and reused for the
+    whole run.
+    """
+
+    def __init__(
+        self,
+        ctx: ExtractionContext,
+        streams,
+        batch_size: int,
+        timers: StageTimers | None = None,
+        group: int = 1,
+        prefetch: int | None = None,
+    ):
+        super().__init__(
+            ctx,
+            streams,
+            batch_size,
+            0,
+            timers=timers,
+            group=group,
+            prefetch=prefetch,
+        )
+
+
+class PipelinedBatchRunner(_ArenaRunner):
+    """One refill pipeline spanning all batches of one or more masters
+    (serial hardware)."""
 
 
 class ProcessBatchRunner:

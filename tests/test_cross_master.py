@@ -12,7 +12,16 @@ import numpy as np
 import pytest
 
 from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
-from repro.frw import RowProgress, build_context, extract_row_alg2
+from repro.frw import (
+    RowProgress,
+    SharedAssets,
+    StageTimers,
+    WalkPipeline,
+    build_context,
+    extract_row_alg2,
+    extract_rows_interleaved,
+    multilevel_extract,
+)
 from repro.frw.scheduler import (
     allocate_quota,
     reweight_needed,
@@ -253,8 +262,9 @@ def _rng_live_bytes() -> int:
 
 
 def test_rng_scratch_does_not_grow_with_masters(on_threads, monkeypatch):
-    """The interleaved serial scheduler keeps one engine pipeline per
-    master alive, but RNG scratch is per thread: the repro.rng bytes live
+    """The interleaved serial scheduler keeps every master's stream
+    provider alive in its one arena, but RNG scratch is per thread: the
+    repro.rng bytes live
     at every batch checkpoint are the same for 2 and for 5 masters.
     Measured: 1,709,748 bytes at 2 masters and 1,712,628 at 5 (one fixed
     ~1.6 MB scratch per thread); the previous per-provider scratch held
@@ -291,3 +301,239 @@ def test_rng_scratch_does_not_grow_with_masters(on_threads, monkeypatch):
         tracemalloc.stop()
     assert 0 < peak[5] <= peak[2] + 16384
     assert peak[5] < 2 * 1024 * 1024
+
+
+# ----------------------------------------------------------------------
+# One slot arena for every master (the serial scheduler's engine)
+# ----------------------------------------------------------------------
+_FUSED = dict(
+    seed=13,
+    n_threads=4,
+    batch_size=256,
+    min_walks=512,
+    max_walks=1024,
+    tolerance=1e-6,
+    executor="serial",
+    sanitize=True,
+)
+
+
+def _five_wires() -> Structure:
+    return Structure(
+        [
+            Conductor.single(
+                f"w{i}", Box.from_bounds(2.0 * i, 2.0 * i + 1, 0, 8, 0, 1)
+            )
+            for i in range(5)
+        ],
+        enclosure=Box.from_bounds(-4, 13, -4, 12, -4, 5),
+    )
+
+
+def _mixed_wires() -> Structure:
+    """Three unlike wires: masters differ in Gaussian-surface area (flux
+    prefactor) and in clearance (absorption tolerance), so a lane that
+    borrowed another master's numbers would change bits."""
+    return Structure(
+        [
+            Conductor.single("a", Box.from_bounds(0, 1, 0, 8, 0, 1)),
+            Conductor.single("b", Box.from_bounds(1.8, 2.4, 0, 6, 0, 0.5)),
+            Conductor.single("c", Box.from_bounds(3.9, 5.3, 1, 9, 0, 1.6)),
+        ],
+        enclosure=Box.from_bounds(-4, 9, -4, 13, -4, 6),
+    )
+
+
+def _assert_same_rows(got, ref):
+    assert len(got.rows) == len(ref.rows)
+    for a, b in zip(got.rows, ref.rows):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.sigma2, b.sigma2)
+        assert np.array_equal(a.hits, b.hits)
+        assert a.walks == b.walks
+        assert a.total_steps == b.total_steps
+    for a, b in zip(got.stats, ref.stats):
+        assert a.batches == b.batches
+        assert a.converged == b.converged
+        assert a.truncated == b.truncated
+
+
+def _per_master(structure, cfg, extract=None):
+    """The per-master loop: every master on its own single-lane arena."""
+    with FRWSolver(structure, cfg.with_(interleave_masters=False)) as solver:
+        return extract(solver) if extract else solver.extract()
+
+
+def _count_arenas(monkeypatch):
+    """Count WalkPipeline constructions and lanes added to them."""
+    seen = {"arenas": 0, "lanes": 0}
+    init, add = WalkPipeline.__init__, WalkPipeline.add_lane
+
+    def counting_init(self, *args, **kwargs):
+        seen["arenas"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_add(self, *args, **kwargs):
+        seen["lanes"] += 1
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(WalkPipeline, "__init__", counting_init)
+    monkeypatch.setattr(WalkPipeline, "add_lane", counting_add)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "variant, overrides",
+    [
+        ("frw_r", {}),
+        ("frw_nk", {}),
+        ("frw_nc", {}),
+        ("frw_r", {"antithetic": True}),
+        ("frw_r", {"antithetic": True, "antithetic_group": 4}),
+        ("frw_r", {"pipeline": False}),
+        ("frw_r", {"pipeline_lookahead": 3}),
+        ("frw_r", {"rng_prefetch_depth": 1}),
+        ("frw_r", {"register_wave": 2}),
+    ],
+    ids=[
+        "frw-r",
+        "frw-nk",
+        "frw-nc-mt",
+        "antithetic",
+        "antithetic-g4",
+        "pipeline-off",
+        "lookahead-3",
+        "prefetch-1",
+        "wave-2",
+    ],
+)
+def test_fused_arena_rows_byte_equal_per_master_loop(
+    monkeypatch, variant, overrides
+):
+    """All masters in one arena give the rows of the per-master loop bit
+    for bit, and the serial scheduler really builds one arena for them."""
+    structure = _mixed_wires()
+    contexts = [build_context(structure, m, FRWConfig()) for m in range(3)]
+    assert len({c.absorb_tol for c in contexts}) > 1
+    assert len({c.flux_scale for c in contexts}) == 3
+    cfg = getattr(FRWConfig, variant)(**_FUSED, **overrides)
+    ref = _per_master(structure, cfg)
+    seen = _count_arenas(monkeypatch)
+    with FRWSolver(structure, cfg) as solver:
+        fused = solver.extract()
+    assert fused.matrix.meta["schedule"]["interleaved"] is True
+    assert seen == {"arenas": 1, "lanes": 3}
+    _assert_same_rows(fused, ref)
+
+
+def test_fused_arena_layered_dielectric_byte_equal(layered_wires):
+    """Interface (hemisphere) steps of two masters share vector steps; the
+    per-lane absorption tolerance and flux prefactor keep their bits."""
+    cfg = FRWConfig.frw_r(**{**_FUSED, "max_walks": 1536})
+    ref = _per_master(layered_wires, cfg)
+    with FRWSolver(layered_wires, cfg) as solver:
+        fused = solver.extract()
+    _assert_same_rows(fused, ref)
+
+
+def test_fused_arena_multilevel_thread_overrides_byte_equal(three_wires):
+    """multilevel_extract's per-master DOP overrides ride the fused arena
+    and give the per-master loop's rows."""
+    cfg = FRWConfig.frw_r(**{**_FUSED, "n_threads": 8})
+
+    def run(solver):
+        return multilevel_extract(solver, min_threads_per_group=2)
+
+    ref = _per_master(three_wires, cfg, run)
+    with FRWSolver(three_wires, cfg) as solver:
+        fused = run(solver)
+    assert sorted({s.thread_work.shape[0] for s in fused.stats}) != [8]
+    _assert_same_rows(fused, ref)
+
+
+def test_fused_arena_evicts_stopped_master(three_wires, monkeypatch):
+    """A master whose stopping rule fires first leaves the arena with its
+    in-flight walks evicted while the other masters keep running; every
+    row still equals the per-master loop's."""
+    cfg = FRWConfig.frw_r(
+        seed=13,
+        n_threads=4,
+        batch_size=256,
+        min_walks=256,
+        max_walks=4096,
+        tolerance=0.1,
+        executor="serial",
+        sanitize=True,
+    )
+    closes = []
+    close = WalkPipeline.close_lane
+
+    def spy(self, lane):
+        in_flight = int(np.count_nonzero(self._tag[: self.active] == lane))
+        close(self, lane)
+        closes.append(
+            {
+                "lane": lane,
+                "in_flight": in_flight,
+                "left": int(np.count_nonzero(self._tag[: self.active] == lane)),
+                "others": self.active,
+            }
+        )
+
+    monkeypatch.setattr(WalkPipeline, "close_lane", spy)
+    with FRWSolver(three_wires, cfg) as solver:
+        fused = solver.extract()
+    batches = [s.batches for s in fused.stats]
+    # Master 1 (the middle wire) converges batches before the others.
+    assert batches[1] < min(batches[0], batches[2])
+    first = closes[0]
+    assert first["lane"] == 1
+    assert first["in_flight"] > 0
+    assert first["left"] == 0
+    assert first["others"] > 0
+    assert len(closes) == 3
+    monkeypatch.undo()
+    _assert_same_rows(fused, _per_master(three_wires, cfg))
+
+
+def test_fused_arena_halves_vector_steps():
+    """On a 5-master bus the fused arena takes at most half the vector
+    steps of the per-master engines combined (a StageTimers count, not a
+    timing): every step advances all masters' walks."""
+    bus = _five_wires()
+    cfg = FRWConfig.frw_r(
+        seed=3,
+        n_threads=4,
+        batch_size=512,
+        min_walks=2048,
+        max_walks=2048,
+        tolerance=1e-6,
+        executor="serial",
+    )
+    per_master = StageTimers()
+    assets = SharedAssets(bus)
+    for m in range(5):
+        extract_row_alg2(
+            build_context(bus, m, cfg, assets=assets), cfg, timers=per_master
+        )
+    fused_timers = StageTimers()
+    with FRWSolver(bus, cfg) as solver:
+        rows, stats = extract_rows_interleaved(
+            list(range(5)), cfg, solver.context, timers=fused_timers
+        )
+    assert sum(s.walks for s in stats) == 5 * 2048
+    assert 0 < fused_timers.steps <= 0.5 * per_master.steps
+
+
+def test_arena_lanes_must_share_assets(three_wires):
+    """Lanes whose contexts were built without a common SharedAssets do
+    not share an index, so they cannot share an arena."""
+    from repro.frw.parallel import PipelinedBatchRunner
+    from repro.rng import WalkStreams
+
+    cfg = FRWConfig.frw_r(**_FUSED)
+    runner = PipelinedBatchRunner(
+        build_context(three_wires, 0, cfg), WalkStreams(13, 0), 256
+    )
+    with pytest.raises(ValueError, match="SharedAssets"):
+        runner.add_master(build_context(three_wires, 1, cfg), WalkStreams(13, 1))

@@ -194,6 +194,52 @@ def test_pipeline_mixed_length_batches(plates):
     assert pipe.next_batch() is None
 
 
+@pytest.mark.parametrize("prefetch", [1, 8])
+def test_arena_lane_joins_and_leaves_mid_run(three_wires, prefetch):
+    """A lane added while another lane's walks are in flight grows the
+    live arena (walks and unconsumed prefetched draws carried over); a lane
+    closed mid-run drops its walks; every emitted batch still equals
+    ``run_walks`` on its UIDs, bit for bit."""
+    from repro.frw import SharedAssets, WalkPipeline
+
+    assets = SharedAssets(three_wires)
+    cfg = FRWConfig.frw_r(seed=11)
+    ctxs = [build_context(three_wires, m, cfg, assets=assets) for m in range(3)]
+    batch = 96
+
+    def feed(u):
+        return np.arange(u * batch, (u + 1) * batch, dtype=np.uint64)
+
+    def expect(m, u):
+        return run_walks(ctxs[m], WalkStreams(11, m), feed(u))
+
+    def check(res, m, u):
+        ref = expect(m, u)
+        assert np.array_equal(res.uids, ref.uids)
+        assert np.array_equal(res.omega, ref.omega)
+        assert np.array_equal(res.dest, ref.dest)
+        assert np.array_equal(res.steps, ref.steps)
+
+    pipe = WalkPipeline(
+        ctxs[0], WalkStreams(11, 0), feed, width=batch, prefetch=prefetch
+    )
+    check(pipe.next_batch(0), 0, 0)
+    assert pipe.active > 0  # lane 0's next batch is in flight
+    lane1 = pipe.add_lane(ctxs[1], WalkStreams(11, 1), feed)
+    lane2 = pipe.add_lane(ctxs[2], WalkStreams(11, 2), feed)
+    assert pipe.width == 3 * batch
+    check(pipe.next_batch(lane2), 2, 0)
+    check(pipe.next_batch(0), 0, 1)
+    assert np.any(pipe._tag[: pipe.active] == lane1)
+    pipe.close_lane(lane1)
+    assert not np.any(pipe._tag[: pipe.active] == lane1)
+    for u in (1, 2):
+        check(pipe.next_batch(lane2), 2, u)
+    check(pipe.next_batch(0), 0, 2)
+    with pytest.raises(ValueError, match="closed"):
+        pipe.next_batch(lane1)
+
+
 def test_pipeline_keeps_vector_width_full(plates):
     """With lookahead, the active vector stays near `width` instead of
     draining to a ragged tail at every batch boundary."""

@@ -152,14 +152,14 @@ def test_wide_vectors_cross_fusion_threshold_bit_identical():
     ctx = build_context(
         _build_structure("homogeneous"), 0, FRWConfig.frw_r(seed=SEED)
     )
-    n = 5000  # > SPAN_FUSE_BUDGET / (2 * depth) for every depth tested
+    n = 9000  # > SPAN_FUSE_BUDGET / (2 * depth) for every depth tested
     uids = np.arange(n, dtype=np.uint64)
     ref = _digest(
         run_walks_pipelined(
             ctx, WalkStreams(SEED, 0), uids, width=n, prefetch=1
         )
     )
-    for depth in (2, 8):
+    for depth in (8, 16):
         assert n > SPAN_FUSE_BUDGET // (2 * depth)  # crosses the budget
         res = run_walks_pipelined(
             ctx, WalkStreams(SEED, 0), uids, width=n, prefetch=depth
