@@ -1,29 +1,22 @@
 """Multi-master extraction benchmark — emits BENCH_extract.json.
 
-Measures the end-to-end wall time of a full multi-master ``extract()`` on
-a multi-conductor bus case in three schedules on the process backend at
-the *same* worker count:
+Measures the end-to-end wall time of a full multi-master extraction on a
+multi-conductor bus case in two schedules on the process backend at the
+*same* worker count:
 
-* ``serial_masters``       — the historical master-after-master loop
-  (``interleave_masters=False``): one master's convergence tail idles the
-  pool while the next master waits.
-* ``interleaved_even``     — the cross-master scheduler with an even
+* ``serial_masters`` — a per-master ``FRWSolver.extract_row`` loop: one
+  master's convergence tail idles the pool while the next master waits.
+  Its rows are the reference the interleaved rows are asserted against.
+* ``interleaved``    — ``FRWSolver.extract``, the cross-master scheduler
+  (the default for every multi-master extraction), with an even
   in-flight quota per unconverged master.
-* ``interleaved_variance`` — the cross-master scheduler with
-  variance-guided allocation (quota reweighted toward the
-  least-converged masters when the share vector moves past the
-  ``allocation_hysteresis`` threshold).
 
-Both allocation policies are recorded on every run so the trajectory
-tracks the gap between them (the default is ``even``; variance-guided
-allocation must earn its keep here to be worth switching back on).
-
-All three produce bit-identical capacitance rows (asserted here on every
-run); the schedules trade wall time and speculative overshoot only.  The
-entry also records the per-master schedule telemetry (dispatched /
-discarded batches), the shared-asset cache counters — the structure's
-spatial index must be built exactly once per extraction — and the spatial
-index's query telemetry (far-field hit rate, candidates pruned).
+Both produce bit-identical capacitance rows (asserted here on every run);
+the schedules trade wall time and speculative overshoot only.  The entry
+also records the per-master schedule telemetry (dispatched / discarded
+batches), the shared-asset cache counters — the structure's spatial index
+must be built exactly once per extraction — and the spatial index's query
+telemetry (far-field hit rate, candidates pruned).
 
 The entry also records a **worker-scaling** section: the same extraction
 on the serial engine and on the shared-memory process backend
@@ -120,29 +113,42 @@ def _config(**overrides) -> FRWConfig:
     )
 
 
-def run_schedule(structure: Structure, name: str, cfg: FRWConfig, repeats: int = 3):
-    """Best-of-N wall time for one schedule; returns (entry, result)."""
+def _per_master_rows(solver: FRWSolver):
+    """``(rows, stats)`` of one ``extract_row`` per master, in order."""
+    pairs = [
+        solver.extract_row(m) for m in range(len(solver.structure.conductors))
+    ]
+    return [row for row, _ in pairs], [stats for _, stats in pairs]
+
+
+def _interleaved_rows(solver: FRWSolver):
+    result = solver.extract()
+    return result.rows, result.stats
+
+
+def run_schedule(structure: Structure, name: str, extract, repeats: int = 3):
+    """Best-of-N wall time of ``extract(solver)`` (returning ``(rows,
+    stats)``) on a fresh solver; returns (entry, row values)."""
     best = float("inf")
-    result = None
-    solver_stats = None
     for _ in range(repeats):
-        with FRWSolver(structure, cfg) as solver:
+        with FRWSolver(structure, _config()) as solver:
             t0 = time.perf_counter()
-            res = solver.extract()
+            rows, stats = extract(solver)
             secs = time.perf_counter() - t0
             if secs < best:
-                best, result = secs, res
+                best, best_rows, best_stats = secs, rows, stats
                 solver_stats = solver.assets.stats()
-    sched = result.matrix.meta["schedule"]
+                query_stats = solver.assets.query_stats()
+    walks = sum(s.walks for s in best_stats)
     entry = {
         "seconds": round(best, 6),
-        "walks": result.total_walks,
-        "steps": result.total_steps,
-        "walks_per_sec": round(result.total_walks / best, 1),
-        "dispatched_batches": sched["dispatched_batches"],
-        "discarded_batches": sched["discarded_batches"],
+        "walks": walks,
+        "steps": sum(s.total_steps for s in best_stats),
+        "walks_per_sec": round(walks / best, 1),
+        "dispatched_batches": sum(s.dispatched_batches for s in best_stats),
+        "discarded_batches": sum(s.discarded_batches for s in best_stats),
         "asset_cache": solver_stats,
-        "query_stats": sched.get("query_stats"),
+        "query_stats": query_stats,
     }
     print(
         f"{name:22s} {best * 1e3:9.1f} ms   "
@@ -150,7 +156,7 @@ def run_schedule(structure: Structure, name: str, cfg: FRWConfig, repeats: int =
         f"dispatched {entry['dispatched_batches']:>3d}   "
         f"discarded {entry['discarded_batches']:>3d}"
     )
-    return entry, result
+    return entry, np.stack([row.values for row in best_rows])
 
 
 def run_worker_scaling(structure: Structure, process_workers: int):
@@ -399,14 +405,13 @@ def main() -> None:
     structure = build_bus(args.wires)
     results = {}
     matrices = {}
-    for name, cfg in [
-        ("serial_masters", _config(interleave_masters=False)),
-        ("interleaved_even", _config(allocation="even")),
-        ("interleaved_variance", _config(allocation="variance")),
+    for name, extract in [
+        ("serial_masters", _per_master_rows),
+        ("interleaved", _interleaved_rows),
     ]:
-        entry, res = run_schedule(structure, name, cfg)
+        entry, values = run_schedule(structure, name, extract)
         results[name] = entry
-        matrices[name] = res.raw_matrix.values
+        matrices[name] = values
         # The structure index must be built exactly once per extraction.
         assert entry["asset_cache"]["index_builds"] == 1, entry["asset_cache"]
 
@@ -428,12 +433,7 @@ def main() -> None:
     speedups = {
         "interleaved_vs_serial_masters": round(
             results["serial_masters"]["seconds"]
-            / results["interleaved_variance"]["seconds"],
-            3,
-        ),
-        "variance_vs_even_allocation": round(
-            results["interleaved_even"]["seconds"]
-            / results["interleaved_variance"]["seconds"],
+            / results["interleaved"]["seconds"],
             3,
         ),
     }

@@ -15,7 +15,8 @@ mirror the paper's experiment matrix (Sec. V):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
 
@@ -23,8 +24,16 @@ VARIANTS = ("alg1", "frw-nk", "frw-nc", "frw-r", "frw-rr")
 RNG_KINDS = ("philox", "mt")
 SUMMATION_KINDS = ("kahan", "naive")
 EXECUTOR_KINDS = ("serial", "process")
-ALLOCATION_KINDS = ("even", "variance")
 MP_START_METHODS = ("auto", "fork", "spawn", "forkserver")
+
+#: Declared field type -> (accepted instances, stored type).  ``bool`` is
+#: an ``int`` subclass, so int and float fields reject it explicitly.
+_FIELD_TYPES = {
+    "bool": (bool, bool),
+    "int": (numbers.Integral, int),
+    "float": (numbers.Real, float),
+    "str": (str, str),
+}
 
 #: Config fields that determine the extracted bits.  Two extractions of the
 #: same structure whose configs agree on every field here produce
@@ -74,31 +83,23 @@ RESULT_FIELDS = (
 #: cache-key-completeness pass (docs/STATIC_ANALYSIS.md): a field read on
 #: the solver/engine/estimator result path that appears in neither tuple
 #: fails CI.  Justifications, by group — backend placement (``executor``,
-#: ``n_workers``, ``chunk_size``, ``mp_start_method``, ``shared_context``:
-#: UID-ordered reassembly makes worker layout invisible), scheduling
-#: (``pipeline``, ``pipeline_lookahead``, ``rng_prefetch_depth``,
-#: ``interleave_masters``, ``allocation``, ``allocation_hysteresis``,
-#: ``max_inflight_batches``, ``register_wave``: walk draws are a pure
-#: function of (seed, uid, step), so issue order cannot reach a bit),
-#: query fast paths (``far_field``, ``sort_queries``,
-#: ``bounds_resolution``: conservative bounds return exactly the
-#: brute-force answer), and guards (``sanitize``: raises or no-ops).
+#: ``n_workers``, ``chunk_size``, ``mp_start_method``: UID-ordered
+#: reassembly makes worker layout invisible), scheduling (``pipeline``,
+#: ``pipeline_lookahead``, ``rng_prefetch_depth``, ``register_wave``: walk
+#: draws are a pure function of (seed, uid, step), so issue order cannot
+#: reach a bit), query fast paths (``far_field``, ``bounds_resolution``:
+#: conservative bounds return exactly the brute-force answer), and guards
+#: (``sanitize``: raises or no-ops).
 ENGINE_FIELDS = (
     "executor",
     "n_workers",
     "chunk_size",
     "mp_start_method",
-    "shared_context",
     "pipeline",
     "pipeline_lookahead",
     "rng_prefetch_depth",
-    "interleave_masters",
-    "allocation",
-    "allocation_hysteresis",
-    "max_inflight_batches",
     "register_wave",
     "far_field",
-    "sort_queries",
     "bounds_resolution",
     "sanitize",
 )
@@ -192,14 +193,6 @@ class FRWConfig:
         spawn).  With the shared-memory context plane all methods are
         bit-identical; spawn/forkserver cost more per pool start but work
         on every platform and give workers a clean interpreter state.
-    shared_context:
-        Ship contexts to process workers through the shared-memory context
-        plane (:mod:`repro.frw.shm`): registration publishes blocks and
-        per-batch dispatch carries only a small manifest, so the pool never
-        restarts and any start method works.  Disabling falls back to the
-        legacy fork-inheritance protocol (POSIX fork only; registering
-        after the pool forked restarts it).  Results are bit-identical
-        either way.
     pipeline:
         Cross-batch walk pipelining: when walks absorb, their vector slots
         are refilled with UIDs from the next batch so the engine's vector
@@ -223,30 +216,6 @@ class FRWConfig:
         ring memory (``24 * depth`` bytes per arena slot).  1 disables
         prefetching; the stateful MT ablation streams cannot seek, so
         they always run as if 1.
-    interleave_masters:
-        Multi-master extraction submits batches from *all* masters into
-        the one executor as a single interleaved stream (the cross-master
-        scheduler), so one master's convergence never idles workers while
-        another still needs walks.  Each master keeps its own UID stream,
-        batch order, and checkpoints, so every row is bit-identical to the
-        serial per-master extraction — interleaving trades wall time only.
-        Ignored for single-master calls and the ``alg1`` variant.
-    allocation:
-        Cross-master in-flight quota policy: ``"even"`` gives every
-        unconverged master the same speculative batch depth; ``"variance"``
-        reweights the quota toward the least-converged masters (relative
-        half-width vs. tolerance), with hysteresis — quotas are recomputed
-        only when the weight vector moves by more than
-        ``allocation_hysteresis`` or the live set changes.  Allocation
-        decides only *which* batches are in flight, never their contents,
-        so rows are bit-identical under either policy.  Default ``"even"``:
-        on balanced master sets the variance feedback loop tends to thrash
-        quotas without converging faster (see BENCH_extract.json); prefer
-        ``"variance"`` only for strongly heterogeneous masters.
-    allocation_hysteresis:
-        Relative L-inf movement of the normalised variance weight vector
-        required before quotas are recomputed (``"variance"`` policy only;
-        0 reweights every round).
     far_field:
         Spatial-index tier-1 fast path: precompute per-grid-cell distance
         bounds so points in cells provably farther than the cap from every
@@ -254,26 +223,17 @@ class FRWConfig:
         and prune candidates that can never win.  Results are
         bit-identical with the flag off; disable only to A/B the cost of
         the bounds arrays on dense structures with no open space.
-    sort_queries:
-        Spatial-index tier-2 fast path: process near-field points in
-        cell-id order so candidate rows are gathered once per unique cell
-        (cache-friendly, deduplicated); results are scattered back in
-        point order and stay bit-identical.
     bounds_resolution:
         Grid cells per ``h_cap`` along each axis (1-8, default 2: at 1 the
         corner-to-corner slack of cap-sized cells leaves few cells provably
         far on tight enclosures).  Finer grids give
         tighter far-field bounds and shorter candidate lists at the cost
         of bounds memory (~17 bytes/cell) and CSR size.
-    max_inflight_batches:
-        Total cross-master in-flight batch cap (0 = auto: enough to cover
-        the executor width with a margin).  Bounds the walk work thrown
-        away when stopping rules fire while speculative batches run.
     register_wave:
-        Masters activated (and, on the process backend, contexts
-        registered/shipped) per scheduler wave; 0 = auto.  Large master
-        sets are admitted in waves so context registration is lazy but
-        batched — one pool restart per wave instead of per master.
+        Most masters live at once in a multi-master extraction; 0 = auto
+        (``max(8, 2 * workers)``).  A master past the bound starts when an
+        earlier one converges, so its context is built — and, on the
+        process backend, published — only then.
     antithetic:
         Generalized antithetic sampling (variance reduction): walk UIDs
         are grouped in aligned blocks of ``antithetic_group`` consecutive
@@ -344,17 +304,11 @@ class FRWConfig:
     n_workers: int = 0
     chunk_size: int = 0
     mp_start_method: str = "auto"
-    shared_context: bool = True
     pipeline: bool = True
     pipeline_lookahead: int = 1
     rng_prefetch_depth: int = 8
-    interleave_masters: bool = True
-    allocation: str = "even"
-    allocation_hysteresis: float = 0.25
-    max_inflight_batches: int = 0
     register_wave: int = 0
     far_field: bool = True
-    sort_queries: bool = True
     bounds_resolution: int = 2
     antithetic: bool = False
     antithetic_group: int = 2
@@ -362,6 +316,7 @@ class FRWConfig:
     sanitize: bool = False
 
     def __post_init__(self) -> None:
+        self._check_types()
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.rng not in RNG_KINDS:
@@ -440,16 +395,6 @@ class FRWConfig:
                 f"mp_start_method must be one of {MP_START_METHODS}, got "
                 f"{self.mp_start_method!r}"
             )
-        if not self.shared_context and self.mp_start_method in (
-            "spawn",
-            "forkserver",
-        ):
-            # The legacy protocol ships contexts by fork inheritance, which
-            # spawn/forkserver children do not get.
-            raise ConfigError(
-                "shared_context=False requires mp_start_method 'fork' or "
-                f"'auto', got {self.mp_start_method!r}"
-            )
         if self.pipeline_lookahead < 0:
             raise ConfigError(
                 f"pipeline_lookahead must be >= 0, got {self.pipeline_lookahead}"
@@ -459,24 +404,9 @@ class FRWConfig:
                 f"rng_prefetch_depth must be in [1, 16], got "
                 f"{self.rng_prefetch_depth}"
             )
-        if self.allocation not in ALLOCATION_KINDS:
-            raise ConfigError(
-                f"allocation must be one of {ALLOCATION_KINDS}, got "
-                f"{self.allocation!r}"
-            )
-        if self.max_inflight_batches < 0:
-            raise ConfigError(
-                f"max_inflight_batches must be >= 0, got "
-                f"{self.max_inflight_batches}"
-            )
         if self.register_wave < 0:
             raise ConfigError(
                 f"register_wave must be >= 0, got {self.register_wave}"
-            )
-        if not (0.0 <= self.allocation_hysteresis <= 1.0):
-            raise ConfigError(
-                f"allocation_hysteresis must be in [0, 1], got "
-                f"{self.allocation_hysteresis}"
             )
         if not (1 <= self.bounds_resolution <= 8):
             raise ConfigError(
@@ -520,6 +450,29 @@ class FRWConfig:
                     f"groups ({2 * self.antithetic_group}), got "
                     f"{self.min_walks}"
                 )
+
+    def _check_types(self) -> None:
+        """Reject values of the wrong type for their field.
+
+        Service requests arrive as JSON, where ``1.5``, ``1.0`` and
+        ``"no"`` all parse; a float seed would be hashed as a float but
+        run as its truncation, and a truthy string would switch a bool
+        field on.  Int fields take integers (not ``bool``) and store
+        them as ``int``; bool fields take only ``bool``; float fields take
+        any real number (not ``bool``) and store it as ``float``, so
+        ``1`` and ``1.0`` hash alike.
+        """
+        for f in fields(self):
+            accepted, cast = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not isinstance(value, accepted) or (
+                isinstance(value, bool) and cast is not bool
+            ):
+                raise ConfigError(
+                    f"{f.name} must be of type {f.type}, got "
+                    f"{type(value).__name__} {value!r}"
+                )
+            object.__setattr__(self, f.name, cast(value))
 
     # ------------------------------------------------------------------
     # Named variant constructors

@@ -24,16 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import FRWConfig
-from ..rng import (
-    MirroredDraws,
-    MTWalkStreams,
-    WalkStreams,
-    seeded_generator,
-    splitmix64,
-)
+from ..rng import seeded_generator, splitmix64
 from .context import ExtractionContext
 from .estimator import CapacitanceRow, RowAccumulator
-from .parallel import PersistentExecutor, make_batch_runner
+from .parallel import (
+    PersistentExecutor,
+    make_batch_runner,
+    stream_spec,
+    streams_from_spec,
+)
 from .scheduler import jittered_durations, simulate_dynamic_queue
 
 
@@ -81,18 +80,11 @@ def make_streams(config: FRWConfig, master: int):
     """Per-walk stream provider for the configured RNG kind.
 
     Each master conductor gets an independent stream family (domain
-    separation), so multi-level parallelism cannot collide streams.
+    separation), so multi-level parallelism cannot collide streams.  The
+    same provider the batch runners and pool workers build from
+    :func:`~repro.frw.parallel.stream_spec`.
     """
-    if config.rng == "mt":
-        return MTWalkStreams(config.seed, stream=master)
-    streams = WalkStreams(config.seed, stream=master)
-    if config.antithetic:
-        # Antithetic partners re-read their primary's counter words
-        # through a mirroring view; config validation guarantees philox.
-        streams = MirroredDraws(
-            streams, config.antithetic_group, config.antithetic_depth
-        )
-    return streams
+    return streams_from_spec(stream_spec(config, master))
 
 
 def machine_rng(config: FRWConfig, master: int) -> np.random.Generator:
@@ -200,17 +192,20 @@ def extract_row_alg2(
 ) -> tuple[CapacitanceRow, RunStats]:
     """Extract one capacitance-matrix row with the reproducible scheme.
 
-    Walk batches are produced by a batch runner selected from the config's
-    ``executor`` / ``pipeline`` knobs (serial engine, cross-batch pipeline,
-    or the persistent process pool).  Every runner
-    yields per-batch results in UID order, so the accumulated row is
-    bit-identical across all of them — the scheduling knobs trade wall time
-    only.  Pass ``executor`` (e.g. from :class:`~repro.frw.solver.FRWSolver`)
-    to reuse one pool across masters; otherwise a pool is created and closed
-    here when the config calls for one.  ``timers`` (an optional
-    :class:`~repro.frw.engine.StageTimers`) collects the engine's per-stage
-    breakdown where the runner supports it (see
-    :func:`~repro.frw.parallel.make_batch_runner`).
+    This is the per-master reference: the cross-master scheduler's rows
+    are asserted byte-equal to it.  Walk batches come from the runner
+    :func:`~repro.frw.parallel.make_batch_runner` picks for the config —
+    a one-lane slot arena on the serial engine (pipelined across batches
+    unless ``pipeline=False``), or the persistent process pool with
+    ``pipeline_lookahead`` batches in flight.  Every runner yields
+    per-batch results in UID order, so the row is bit-identical across
+    all of them.  Pass ``executor`` (e.g. from
+    :meth:`~repro.frw.solver.FRWSolver.walk_executor`) to reuse one pool
+    across calls; otherwise a pool is created and closed here when the
+    config calls for one.  ``timers`` (an optional
+    :class:`~repro.frw.engine.StageTimers`) collects the engine's
+    per-stage breakdown on the serial engine; pool workers cannot report
+    stages.
     """
     cfg = config if config is not None else ctx.config
     progress = RowProgress(ctx, cfg)

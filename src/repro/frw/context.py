@@ -148,7 +148,6 @@ class SharedAssets:
         self,
         h_cap: float,
         far_field: bool = True,
-        sort_queries: bool = True,
         bounds_resolution: int = 2,
     ) -> BruteForceIndex | GridIndex:
         """The structure's spatial index for ``h_cap`` and the fast-path
@@ -156,19 +155,13 @@ class SharedAssets:
         lists *and* its tier-1 bounds arrays — means the far-field
         precompute happens once per extraction, never per master, and fork
         workers inherit the built arrays instead of rebuilding them."""
-        key = (
-            float(h_cap),
-            bool(far_field),
-            bool(sort_queries),
-            int(bounds_resolution),
-        )
+        key = (float(h_cap), bool(far_field), int(bounds_resolution))
         index = self._indexes.get(key)
         if index is None:
             index = build_index(
                 self.structure,
                 h_cap=key[0],
                 far_field=far_field,
-                sort_queries=sort_queries,
                 bounds_resolution=bounds_resolution,
             )
             self._indexes[key] = index
@@ -253,7 +246,6 @@ def build_context(
         index = assets.index(
             h_cap,
             far_field=config.far_field,
-            sort_queries=config.sort_queries,
             bounds_resolution=config.bounds_resolution,
         )
     else:
@@ -261,7 +253,6 @@ def build_context(
             structure,
             h_cap=h_cap,
             far_field=config.far_field,
-            sort_queries=config.sort_queries,
             bounds_resolution=config.bounds_resolution,
         )
     absorb_tol = config.absorption_fraction * surface.delta

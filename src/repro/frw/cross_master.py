@@ -1,25 +1,23 @@
 """Cross-master interleaved extraction scheduler (Sec. IV multi-level
 parallelism, realised over the real executors).
 
-``FRWSolver.extract`` historically ran masters one after another: master
-``i``'s convergence tail (a last ragged batch draining on one worker)
-idled the rest of the pool while master ``i+1`` had not started.  This
-module interleaves *all* masters' batch streams over the one
-:class:`~repro.frw.parallel.PersistentExecutor`:
+Running masters one after another leaves master ``i``'s convergence tail
+(a last ragged batch draining on one worker) idling the rest of the pool
+while master ``i+1`` has not started.  This module interleaves *all*
+masters' batch streams instead:
 
 * every master keeps its own UID stream, batch order, accumulator, machine
   RNG, and Alg. 2 global checkpoints — exactly the per-master state of
   :func:`~repro.frw.alg2_reproducible.extract_row_alg2`, shared through
   :class:`~repro.frw.alg2_reproducible.RowProgress`;
-* batches from different masters are dispatched concurrently — whole
-  (full engine vector width) while enough masters fill the pool, chunked
-  and reassembled in UID order when live masters run short of workers —
-  so the pool only goes idle when *every* unconverged master's next
-  batch is in flight;
-* **variance-guided allocation** reweights each master's in-flight batch
-  quota toward the least-converged masters after every checkpoint round
-  (:func:`~repro.frw.scheduler.variance_weights`), cutting the speculative
-  work thrown away when a nearly-converged master stops;
+* on the process backend, batches from different masters are dispatched
+  concurrently over the one
+  :class:`~repro.frw.parallel.PersistentExecutor` — whole (full engine
+  vector width) while enough masters fill the pool, chunked and
+  reassembled in UID order when live masters run short of workers.  The
+  in-flight quota, ``max(live masters, 2 * workers)`` batches, is split
+  evenly over the unconverged masters, so the pool only goes idle when
+  every unconverged master's next batch is in flight;
 * on the serial path (no pool) there is **one engine for all masters**:
   every admitted master is a lane of a single slot arena
   (:class:`~repro.frw.parallel.PipelinedBatchRunner`, or
@@ -32,17 +30,16 @@ module interleaves *all* masters' batch streams over the one
 
 Reproducibility: a master's row is a pure function of its accumulated
 batch prefix (results are schedule-independent, accumulation happens in
-batch order through ``RowProgress``), and allocation only decides *which*
+batch order through ``RowProgress``), and the quota only decides *which*
 speculative batches are in flight — never their contents.  Every row is
-therefore bit-identical to the serial per-master extraction, at any
-backend, worker count, or allocation policy.
+therefore bit-identical to the per-master extraction, at any backend or
+worker count.
 
-Large master sets are admitted in *waves* (``config.register_wave``): a
-wave's contexts are built — and, on the process backend, registered and
-shipped in one pool fork — together, so context registration is lazy but
-batched.  Before a wave registers on the process backend, in-flight
-batches are drained (their results are cached on the handles), because
-registration re-forks the pool.
+At most ``config.register_wave`` masters are live at once; a later
+master is admitted when an earlier one converges, so its context is
+built — and, on the process backend, published to the shared-memory
+plane — only when it starts.  Publishing never restarts the pool, so
+admission never waits for in-flight batches.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ from .parallel import (
     stream_spec,
     streams_from_spec,
 )
-from .scheduler import allocate_quota, reweight_needed, variance_weights
+from .scheduler import allocate_quota
 
 
 class _MasterRun:
@@ -156,7 +153,7 @@ class _MasterRun:
 
 
 def resolve_wave(register_wave: int, n_workers: int) -> int:
-    """Masters admitted per scheduler wave (0 = auto)."""
+    """Most masters live at once (0 = auto)."""
     if register_wave > 0:
         return register_wave
     return max(8, 2 * n_workers)
@@ -228,27 +225,10 @@ def extract_rows_interleaved(
     def activate_wave() -> None:
         live = sum(1 for st in active if not st.done)
         take = min(wave - live, len(pending))
-        if take <= 0:
-            return
-        if executor is not None and executor.restarts_on_register:
-            # Legacy fork-inheritance protocol: registration re-forks the
-            # pool, so drain in-flight batches first — no handle may be
-            # left pointing into a terminated pool.  Results are cached on
-            # the handles, nothing is recomputed.  The shared-memory
-            # context plane never restarts, so no drain is needed there
-            # and admission stays overlap-free.
-            for st in active:
-                for handle in st.inflight.values():
-                    handle.result()
         for _ in range(take):
             active.append(admit(pending.popleft()))
 
     activate_wave()
-    # Hysteresis state of the variance policy: the weight vector and quota
-    # split of the last recomputation, plus the live set it applied to.
-    last_weights: np.ndarray | None = None
-    last_quotas: np.ndarray | None = None
-    last_live: tuple[int, ...] = ()
     while True:
         live = [st for st in active if not st.done]
         if not live:
@@ -263,27 +243,10 @@ def extract_rows_interleaved(
             # so one (never-computed-until-harvest) batch per master.
             quotas = np.ones(len(live), dtype=np.int64)
         else:
-            total = config.max_inflight_batches
-            if total <= 0:
-                total = max(len(live), 2 * workers)
-            if config.allocation == "variance" and len(live) > 1:
-                weights = variance_weights(
-                    np.array(
-                        [st.progress.self_relative_error for st in live]
-                    ),
-                    config.tolerance,
-                )
-                live_ids = tuple(st.master for st in live)
-                if live_ids != last_live or reweight_needed(
-                    weights, last_weights, config.allocation_hysteresis
-                ):
-                    last_quotas = allocate_quota(weights, total, min_share=1)
-                    last_weights = weights
-                    last_live = live_ids
-                quotas = last_quotas
-            else:
-                weights = np.ones(len(live))
-                quotas = allocate_quota(weights, total, min_share=1)
+            # Enough batches to keep every worker busy, split evenly.
+            quotas = allocate_quota(
+                np.ones(len(live)), max(len(live), 2 * workers), min_share=1
+            )
         # Cross-master concurrency already fills the pool, so a batch
         # only splits when live masters are fewer than workers.
         max_chunks = -(-workers // len(live))

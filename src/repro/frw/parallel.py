@@ -18,7 +18,7 @@ On top of the executor sit the *batch runners* used by
 ``run_batch(batch_index)`` and differs only in how the walks are
 scheduled:
 
-* :class:`SerialBatchRunner` — the historical one-batch-at-a-time engine.
+* :class:`SerialBatchRunner` — one batch at a time (``pipeline=False``).
 * :class:`PipelinedBatchRunner` — one refill-capable
   :class:`~repro.frw.engine.WalkPipeline` spanning all batches.  Both
   in-process runners can hold several masters in one slot arena
@@ -32,12 +32,12 @@ scheduled:
   so speculation trades wall time only.
 
 The process backend ships contexts through the **shared-memory context
-plane** (:mod:`repro.frw.shm`) by default: registering a context publishes
-its arrays into a shared block once, and per-batch messages carry only a
-small manifest + the UID chunk — workers attach lazily and cache the
-attachment, so steady-state dispatch is manifest-only and works under any
-start method (``fork``, ``spawn``, ``forkserver``).  The legacy
-fork-inheritance protocol survives behind ``shared_context=False``.
+plane** (:mod:`repro.frw.shm`): registering a context publishes its arrays
+into a shared block once, and per-batch messages carry only a small
+manifest + the UID chunk — workers attach lazily and cache the attachment,
+so the pool is created once, never restarts, and steady-state dispatch is
+manifest-only under any start method (``fork``, ``spawn``,
+``forkserver``).
 
 Every path reuses the engine's slot arena across batches: the in-process
 runners own a persistent :class:`~repro.frw.engine.WalkPipeline` (one
@@ -165,37 +165,19 @@ def _reassemble(uids: np.ndarray, parts: list[WalkResults]) -> WalkResults:
 
 
 # ----------------------------------------------------------------------
-# Process-pool worker side.  Two context-shipping protocols:
-#
-# * Shared-memory plane (default): the parent publishes each context into
-#   a shared block (repro.frw.shm) and dispatches (manifest, uids) work
-#   items.  Workers attach lazily — the first chunk of a context maps the
-#   block and rebuilds the context over zero-copy views; every later chunk
-#   hits the attachment cache.  Works under fork, spawn, and forkserver.
-# * Legacy fork inheritance (shared_context=False): the parent stores
-#   contexts in _FORK_REGISTRY immediately before forking the pool and
-#   workers inherit that memory; per-batch messages carry only (key, uids).
+# Process-pool worker side.  The parent publishes each context into a
+# shared block (repro.frw.shm) and dispatches (manifest, uids) work items.
+# Workers attach lazily — the first chunk of a context maps the block and
+# rebuilds the context over zero-copy views; every later chunk hits the
+# attachment cache.  Works under fork, spawn, and forkserver.
 # ----------------------------------------------------------------------
 _LOG = logging.getLogger(__name__)
 
-_FORK_REGISTRY: dict = {}
 _WORKER_STREAMS: dict = {}
 
 
-def _process_chunk(key: int, uids: np.ndarray) -> WalkResults:
-    ctx, spec = _FORK_REGISTRY[key]
-    streams = _WORKER_STREAMS.get(key)
-    if streams is None:
-        streams = streams_from_spec(spec)
-        # det: allow(DET006) per-process memo of this worker's own stream
-        # family; streams are counter-based (stateless per uid), so the cache
-        # only avoids re-deriving keys and cannot affect sample values.
-        _WORKER_STREAMS[key] = streams
-    return run_walks(ctx, streams, uids)
-
-
 def _shm_chunk(manifest, uids: np.ndarray) -> WalkResults:
-    """Worker entry of the shared-context protocol: attach (cached), run."""
+    """Worker entry: attach the context (cached), run the chunk."""
     ctx = shm.attach_context(manifest)
     cache_key = (manifest.block, manifest.spec)
     streams = _WORKER_STREAMS.get(cache_key)
@@ -262,23 +244,19 @@ class PersistentExecutor:
         ``"process"`` (``"serial"`` is accepted and makes :meth:`run` a
         plain in-process engine call, for uniform call sites).
     n_workers:
-        Pool width; ``0`` means auto (host CPU count).
+        Pool width; ``0`` means auto (the CPUs this process may run on;
+        see :func:`resolve_workers`).
     chunk_size:
         UIDs per work item; ``0`` means auto (even split over workers).
-
     mp_start_method:
         Start method of the process backend (``"auto"``, ``"fork"``,
         ``"spawn"``, ``"forkserver"``; see :func:`resolve_start_method`).
-    shared_context:
-        Ship contexts through the shared-memory plane (default): the pool
-        is created once, registration publishes blocks, workers attach
-        lazily, and per-batch messages carry only the manifest.  With
-        ``False`` the legacy fork-inheritance protocol is used: contexts
-        travel by forking *after* registration, and registering a new
-        context after the fork restarts the pool once.
 
-    Contexts are registered once per master (:meth:`register`); thereafter
-    any number of batches can be dispatched with :meth:`run`.  Dispatch
+    Contexts are registered once per master (:meth:`register`), which
+    publishes them into shared-memory blocks; the pool is created once on
+    first dispatch, workers attach lazily, and per-batch messages carry
+    only the manifest.  Any number of batches can then be dispatched with
+    :meth:`run`.  Dispatch
     telemetry (work items, pickled payload bytes) accumulates in
     :meth:`dispatch_stats`; :meth:`worker_stats` probes the live pool for
     worker PIDs and per-worker attachment counts.
@@ -290,7 +268,6 @@ class PersistentExecutor:
         n_workers: int = 0,
         chunk_size: int = 0,
         mp_start_method: str = "auto",
-        shared_context: bool = True,
     ):
         # Set first so __del__/close stay safe if validation below raises.
         self._closed = True
@@ -302,17 +279,10 @@ class PersistentExecutor:
         self.n_workers = resolve_workers(n_workers)
         self.chunk_size = int(chunk_size)
         self.mp_start_method = mp_start_method
-        self.shared_context = bool(shared_context)
         if backend == "process":
             # Resolve eagerly so a bad method/platform combination fails at
             # construction, not mid-extraction.
             self._start_method = resolve_start_method(mp_start_method)
-            if not self.shared_context and self._start_method != "fork":
-                raise ConfigError(
-                    "shared_context=False ships contexts by fork "
-                    "inheritance and requires the fork start method, "
-                    f"got {self._start_method!r}"
-                )
         else:
             self._start_method = None
         self._process_pool = None
@@ -320,8 +290,6 @@ class PersistentExecutor:
         self._keys: dict[tuple[int, StreamSpec], int] = {}
         self._manifests: dict[int, "shm.ContextManifest"] = {}
         self._next_key = 0
-        self._version = 0
-        self._forked_version = -1
         self._closed = False
         self.dispatches = 0
         self.dispatch_pickle_bytes = 0
@@ -332,11 +300,9 @@ class PersistentExecutor:
     def register(self, ctx: ExtractionContext, spec: StreamSpec) -> int:
         """Register a context + stream spec once; returns its dispatch key.
 
-        On the shared-context process backend this *publishes* the context
-        into a shared-memory block immediately — the pool (if any) keeps
-        running and workers attach on first dispatch.  On the legacy
-        fork-inheritance backend it bumps the registry version, which
-        triggers one pool restart at the next dispatch.
+        On the process backend this *publishes* the context into a
+        shared-memory block immediately — the pool (if any) keeps running
+        and workers attach on first dispatch.
         """
         ident = (id(ctx), spec)
         key = self._keys.get(ident)
@@ -346,48 +312,20 @@ class PersistentExecutor:
         self._next_key += 1
         self._registry[key] = (ctx, spec)
         self._keys[ident] = key
-        self._version += 1
-        if self.backend == "process" and self.shared_context:
+        if self.backend == "process":
             self._manifests[key] = shm.publish_context(ctx, spec)
         return key
-
-    @property
-    def restarts_on_register(self) -> bool:
-        """Whether registering a new context forces a pool restart.
-
-        Only the legacy fork-inheritance protocol does; the shared-memory
-        context plane creates the pool once and later registrations just
-        publish new blocks, which workers attach lazily.  Schedulers use
-        this to decide whether in-flight handles must be drained before
-        admitting a new registration wave.
-        """
-        return self.backend == "process" and not self.shared_context
 
     # ------------------------------------------------------------------
     # Pools
     # ------------------------------------------------------------------
     def _processes(self):
-        if self.shared_context:
-            # Shared-memory plane: one pool for the executor's lifetime.
-            # Contexts live in published blocks, so registration never
-            # requires a restart and any start method works.
-            if self._process_pool is None:
-                mp_ctx = multiprocessing.get_context(self._start_method)
-                self._process_pool = mp_ctx.Pool(processes=self.n_workers)
-                self._forked_version = self._version
-            return self._process_pool
-        if self._process_pool is None or self._forked_version != self._version:
-            if self._process_pool is not None:
-                self._process_pool.terminate()
-                self._process_pool.join()
-                self._process_pool = None
-            mp_ctx = multiprocessing.get_context("fork")
-            # Ship every registered context to the workers via fork
-            # inheritance: set the module-level registry, then fork.
-            _FORK_REGISTRY.clear()
-            _FORK_REGISTRY.update(self._registry)
+        """The pool, created on first use and kept for the executor's
+        lifetime: contexts live in published blocks, so registration
+        never requires a restart."""
+        if self._process_pool is None:
+            mp_ctx = multiprocessing.get_context(self._start_method)
             self._process_pool = mp_ctx.Pool(processes=self.n_workers)
-            self._forked_version = self._version
         return self._process_pool
 
     # ------------------------------------------------------------------
@@ -432,18 +370,13 @@ class PersistentExecutor:
         chunks = [uids[a:b] for a, b in bounds]
         self.dispatches += len(chunks)
         pool = self._processes()
-        if self.shared_context:
-            manifest = self._manifests[key]
-            payloads = [(manifest, c) for c in chunks]
-            worker = _shm_chunk
-        else:
-            payloads = [(key, c) for c in chunks]
-            worker = _process_chunk
+        manifest = self._manifests[key]
+        payloads = [(manifest, c) for c in chunks]
         self.dispatch_pickle_bytes += sum(
             len(pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL))
             for p in payloads
         )
-        asyncs = [pool.apply_async(worker, p) for p in payloads]
+        asyncs = [pool.apply_async(_shm_chunk, p) for p in payloads]
         return PendingBatch(uids, waiters=[a.get for a in asyncs])
 
     # ------------------------------------------------------------------
@@ -454,8 +387,8 @@ class PersistentExecutor:
 
         ``pickle_bytes`` counts the pickled payload of every process-pool
         work item, so ``pickle_bytes_per_dispatch`` directly measures the
-        steady-state per-dispatch payload — manifest-only under the shared-context
-        plane, regardless of context size.
+        steady-state per-dispatch payload — manifest-only, regardless of
+        context size.
         """
         n = max(1, self.dispatches)
         return {
@@ -730,7 +663,6 @@ def make_batch_runner(
             config.n_workers,
             config.chunk_size,
             mp_start_method=config.mp_start_method,
-            shared_context=config.shared_context,
         )
         executor = owned
     if backend == "serial" or workers <= 1 or executor is None:

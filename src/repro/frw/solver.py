@@ -22,10 +22,12 @@ frw-r     Alg. 2, Kahan, CBRNG                       none
 frw-rr    Alg. 2, Kahan, CBRNG                       Alg. 3 regularization
 ========  =========================================  ====================
 
-Multi-master extractions run through the cross-master interleaved
-scheduler by default (``config.interleave_masters``): batches from all
-masters share the one executor, and per-master rows stay bit-identical
-to the serial per-master loop (see :mod:`repro.frw.cross_master`).
+Every multi-master extraction except ``alg1`` runs through the
+cross-master interleaved scheduler: on the serial engine all masters are
+lanes of one slot arena, on the process backend their batches share the
+one pool, and each row stays bit-identical to a per-master
+``extract_row`` (see :mod:`repro.frw.cross_master`).  ``alg1`` and
+single-master calls run master after master.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ from ..reliability import PropertyReport, check_properties, regularize
 from .alg1_baseline import extract_row_alg1
 from .alg2_reproducible import RunStats, extract_row_alg2
 from .context import ExtractionContext, SharedAssets, build_context
-from .cross_master import extract_rows_interleaved, resolve_wave
+from .cross_master import extract_rows_interleaved
 from .estimator import CapacitanceRow
-from .parallel import PersistentExecutor, resolve_workers, stream_spec
+from .parallel import PersistentExecutor, resolve_workers
 
 
 @dataclass
@@ -225,7 +227,6 @@ class FRWSolver:
                 cfg.n_workers,
                 cfg.chunk_size,
                 mp_start_method=cfg.mp_start_method,
-                shared_context=cfg.shared_context,
             )
         return self._executor
 
@@ -268,41 +269,24 @@ class FRWSolver:
         executor: PersistentExecutor | None,
         thread_overrides: dict[int, int] | None,
     ) -> tuple[list[CapacitanceRow], list[RunStats]]:
-        """The historical master-after-master loop (alg1, opted-out
-        interleaving).  Contexts for the process backend are registered
-        lazily in waves, so a small master subset of a large structure
-        builds and ships only its own contexts."""
+        """Master after master: ``alg1`` (which never uses the executor)
+        and single-master calls, whose context registers with the pool
+        through the batch runner."""
         overrides = thread_overrides or {}
-        wave = resolve_wave(
-            self.config.register_wave,
-            executor.n_workers if executor is not None else 1,
-        )
         rows: list[CapacitanceRow] = []
         stats: list[RunStats] = []
-        for start in range(0, len(masters), wave):
-            chunk = masters[start : start + wave]
-            if executor is not None and executor.backend == "process":
-                # One registration burst per wave.  On the shared-memory
-                # plane this publishes the wave's blocks up front (workers
-                # attach lazily; the pool keeps running); on the legacy
-                # fork-inheritance path the pool restarts once per wave,
-                # shipping the whole wave's contexts together.
-                for master in chunk:
-                    executor.register(
-                        self.context(master), stream_spec(self.config, master)
-                    )
-            for master in chunk:
-                cfg = self.config
-                t = overrides.get(master)
-                if t is not None and t != cfg.n_threads:
-                    cfg = cfg.with_(n_threads=max(1, t))
-                ctx = self.context(master)
-                if cfg.variant == "alg1":
-                    row, stat = extract_row_alg1(ctx, cfg)
-                else:
-                    row, stat = extract_row_alg2(ctx, cfg, executor=executor)
-                rows.append(row)
-                stats.append(stat)
+        for master in masters:
+            cfg = self.config
+            t = overrides.get(master)
+            if t is not None and t != cfg.n_threads:
+                cfg = cfg.with_(n_threads=max(1, t))
+            ctx = self.context(master)
+            if cfg.variant == "alg1":
+                row, stat = extract_row_alg1(ctx, cfg)
+            else:
+                row, stat = extract_row_alg2(ctx, cfg, executor=executor)
+            rows.append(row)
+            stats.append(stat)
         return rows, stats
 
     def extract(
@@ -314,10 +298,9 @@ class FRWSolver:
     ) -> ExtractionResult:
         """Extract rows for the given masters (default: all conductors).
 
-        Multi-master calls run through the cross-master interleaved
-        scheduler when ``config.interleave_masters`` is set (batches from
-        all masters share the executor; rows are bit-identical to the
-        serial per-master loop).  ``thread_overrides`` maps a master to
+        Multi-master calls other than ``alg1`` run through the
+        cross-master interleaved scheduler (rows are bit-identical to a
+        per-master :meth:`extract_row`).  ``thread_overrides`` maps a master to
         the virtual-thread DOP its accumulation replays at (used by
         :func:`~repro.frw.multilevel.multilevel_extract` group plans).
 
@@ -329,11 +312,7 @@ class FRWSolver:
         if not masters:
             raise ConfigError("need at least one master conductor")
         executor = self.walk_executor()
-        interleaved = (
-            self.config.interleave_masters
-            and len(masters) > 1
-            and self.config.variant != "alg1"
-        )
+        interleaved = len(masters) > 1 and self.config.variant != "alg1"
         t0 = time.perf_counter()
         with maybe_forbid_global_rng(self.config.sanitize):
             if interleaved:
@@ -353,7 +332,6 @@ class FRWSolver:
         meta = {
             "schedule": {
                 "interleaved": interleaved,
-                "allocation": self.config.allocation,
                 "antithetic": (
                     {
                         "group": self.config.antithetic_group,

@@ -14,31 +14,24 @@ sizes the transition cube and decides absorption.  Two implementations:
   exceeds ``h_cap`` report exactly ``h_cap`` with no conductor, which is
   sufficient (and exact) for the engine.
 
-On top of the CSR lists the grid carries a **two-tier fast path**
-(classic FRW "space management", cf. the RWCap family):
+On top of the CSR lists the grid carries a **far-field fast path**
+(classic FRW "space management", cf. the RWCap family): at build time
+every cell gets a conservative lower bound ``cell_dmin`` and upper bound
+``cell_dmax`` on the distance from *any* point in the cell to the nearest
+conductor.  A cell with ``cell_dmin >= h_cap`` is *far-field*: all its
+points would report exactly ``(h_cap, -1)``, so the query answers them
+with a single vectorised mask and never touches candidate lists.
+``cell_dmax`` additionally prunes candidates at build time: a candidate
+whose lower bound to the cell exceeds the cell's best upper bound can
+never win (or even tie) for any point in the cell, so it is dropped from
+the CSR list.
 
-* **Tier 1 — per-cell distance bounds.**  At build time every cell gets a
-  conservative lower bound ``cell_dmin`` and upper bound ``cell_dmax`` on
-  the distance from *any* point in the cell to the nearest conductor.  A
-  cell with ``cell_dmin >= h_cap`` is *far-field*: all its points would
-  report exactly ``(h_cap, -1)``, so the query answers them with a single
-  vectorised mask and never touches candidate lists.  ``cell_dmax``
-  additionally prunes candidates at build time: a candidate whose lower
-  bound to the cell exceeds the cell's best upper bound can never win (or
-  even tie) for any point in the cell, so it is dropped from the CSR list.
-* **Tier 2 — cell-sorted gather.**  Surviving near-field points are
-  processed in cell-id order: points sharing a cell form runs, the
-  candidate rows and box coordinates are gathered once per *unique* cell
-  into a compact table, and per-point distances index into that warm
-  table.  Results are scattered back by original position, so the output
-  is bit-identical to the unsorted gather (all per-point arithmetic is
-  elementwise and each point's candidate order is unchanged).
-
-Both tiers preserve the solver's bit-for-bit DOP-independence guarantee:
-skipping a query whose answer is provably ``h_cap`` returns the identical
-value, and pruning only removes candidates that can never influence the
-capped minimum (for points inside the enclosure, which is where walks
-live; the far-field *mask* is conservative for arbitrary points).
+The fast path preserves the solver's bit-for-bit DOP-independence
+guarantee: skipping a query whose answer is provably ``h_cap`` returns the
+identical value, and pruning only removes candidates that can never
+influence the capped minimum (for points inside the enclosure, which is
+where walks live; the far-field *mask* is conservative for arbitrary
+points).
 
 Both index classes return ``(distance, conductor_index)`` with
 ``conductor_index = -1`` when no conductor is within range.
@@ -207,13 +200,9 @@ class GridIndex:
     cell_size:
         Grid cell edge; defaults to ``h_cap / bounds_resolution``.
     far_field:
-        Enable the tier-1 per-cell bounds: far-field cells answer without
+        Enable the per-cell bounds: far-field cells answer without
         touching candidate lists, and provably-losing candidates are
         pruned from the CSR lists at build time.
-    sort_queries:
-        Enable the tier-2 cell-sorted near-field gather (deduplicated
-        per-unique-cell candidate tables, results scattered back in
-        original point order).
     bounds_resolution:
         Cells per ``h_cap`` along each axis (>= 1).  Finer cells give
         tighter bounds — more far-field cells, shorter candidate lists —
@@ -227,7 +216,6 @@ class GridIndex:
         h_cap: float,
         cell_size: float | None = None,
         far_field: bool = True,
-        sort_queries: bool = True,
         bounds_resolution: int = 2,
     ):
         if h_cap <= 0:
@@ -238,7 +226,6 @@ class GridIndex:
             )
         self.h_cap = float(h_cap)
         self.far_field = bool(far_field)
-        self.sort_queries = bool(sort_queries)
         self.bounds_resolution = int(bounds_resolution)
         self.stats = QueryStats()
         # Bulk counter updates take this lock, so stats invariants hold
@@ -438,7 +425,6 @@ class GridIndex:
             "kind": "grid",
             "h_cap": self.h_cap,
             "far_field": self.far_field,
-            "sort_queries": self.sort_queries,
             "bounds_resolution": self.bounds_resolution,
             "candidates_pruned": int(self.stats.candidates_pruned),
             "origin": self._origin,
@@ -472,7 +458,6 @@ class GridIndex:
         self = cls.__new__(cls)
         self.h_cap = float(scalars["h_cap"])
         self.far_field = bool(scalars["far_field"])
-        self.sort_queries = bool(scalars["sort_queries"])
         self.bounds_resolution = int(scalars["bounds_resolution"])
         self.stats = QueryStats(
             candidates_pruned=int(scalars["candidates_pruned"])
@@ -557,19 +542,7 @@ class GridIndex:
             t0 = timers.lap("index_fast", t0)
         visited = 0
         if near.shape[0]:
-            if self.sort_queries and near.shape[0] > 1:
-                # Tier 2: process near points in cell order; `near` carries
-                # the original positions, so writes through it restore
-                # point order exactly (no separate inverse permutation).
-                # Any deterministic grouping permutation gives identical
-                # bits — each point's answer lands in its own slot and its
-                # candidate order is its cell's CSR order regardless of
-                # where the point sits in the batch — so the default
-                # introsort is used (stability is unnecessary).
-                near = near[np.argsort(cell_ids[near])]
-                visited = self._gather_sorted(points, cell_ids, near, dist, cond)
-            else:
-                visited = self._gather(points, cell_ids, near, dist, cond)
+            visited = self._gather(points, cell_ids, near, dist, cond)
         with self._stats_lock:
             st = self.stats
             st.queries += 1
@@ -590,8 +563,7 @@ class GridIndex:
         cond: np.ndarray,
     ) -> int:
         """Flat (point, candidate) gather + segment-min for the selected
-        points (the historical full-batch path, now subset-capable).
-        Returns the number of candidate rows visited."""
+        points.  Returns the number of candidate rows visited."""
         k = sel.shape[0]
         cells = cell_ids[sel]
         start = self._indptr[cells]
@@ -630,68 +602,6 @@ class GridIndex:
                 np.maximum(d, g, out=d)
         np.maximum(d, 0.0, out=d)
         return d
-
-    def _gather_sorted(
-        self,
-        points: np.ndarray,
-        cell_ids: np.ndarray,
-        sel: np.ndarray,
-        dist: np.ndarray,
-        cond: np.ndarray,
-    ) -> int:
-        """Cell-sorted gather: candidate rows and box coordinates are read
-        once per *unique* cell (CSR order, cache-friendly), and per-point
-        pair rows index into that compact table.  Identical arithmetic to
-        :meth:`_gather` — per point, the same candidates in the same order
-        — so results are bit-identical.  Returns the number of candidate
-        rows visited."""
-        k = sel.shape[0]
-        cells = cell_ids[sel]  # non-decreasing (sel is cell-sorted)
-        new_run = np.empty(k, dtype=bool)
-        new_run[0] = True
-        np.not_equal(cells[1:], cells[:-1], out=new_run[1:])
-        ucells = cells[new_run]
-        u_start = self._indptr[ucells]
-        u_cnt = self._indptr[ucells + 1] - u_start
-        u_off = np.cumsum(u_cnt) - u_cnt
-        total_u = int(u_off[-1] + u_cnt[-1])
-        run_id = np.cumsum(new_run) - 1  # point -> unique-cell position
-        cnt = u_cnt[run_id]
-        offs = np.cumsum(cnt) - cnt
-        total = int(offs[-1] + cnt[-1])
-        if total == 0:
-            return 0
-        # Compact per-unique-cell candidate table: one CSR gather per cell
-        # run instead of one per point.
-        flat_u = np.arange(total_u, dtype=np.int64) + np.repeat(
-            u_start - u_off, u_cnt
-        )
-        cand_u = self._indices[flat_u]
-        # Per-point pair rows -> compact-table rows.
-        pt = np.repeat(np.arange(k, dtype=np.int64), cnt)
-        crow = np.arange(total, dtype=np.int64) + np.repeat(
-            u_off[run_id] - offs, cnt
-        )
-        rows = sel[pt]
-        d = None
-        for a in range(3):
-            pa = points[:, a][rows]
-            lo_u = self._lo_ax[a][cand_u]
-            g = lo_u[crow]
-            np.subtract(g, pa, out=g)
-            hi_u = self._hi_ax[a][cand_u]
-            np.subtract(pa, hi_u[crow], out=pa)
-            np.maximum(g, pa, out=g)
-            if d is None:
-                d = g
-            else:
-                np.maximum(d, g, out=d)
-        np.maximum(d, 0.0, out=d)
-        win = self._reduce(d, cnt, offs, pt, sel, dist, cond)
-        if win.shape[0]:
-            # Only the winning rows expand through the compact table.
-            cond[sel[pt[win]]] = self._owner[cand_u[crow[win]]]
-        return total
 
     def _reduce(
         self,
@@ -735,7 +645,6 @@ def build_index(
     h_cap: float,
     brute_force_limit: int = 256,
     far_field: bool = True,
-    sort_queries: bool = True,
     bounds_resolution: int = 2,
 ) -> BruteForceIndex | GridIndex:
     """Pick a sensible index for the structure size.
@@ -753,6 +662,5 @@ def build_index(
         structure,
         h_cap=h_cap,
         far_field=far_field,
-        sort_queries=sort_queries,
         bounds_resolution=bounds_resolution,
     )

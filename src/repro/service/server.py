@@ -235,7 +235,10 @@ class ExtractionService:
         masters = request.get("masters")
         if masters is None:
             masters = list(range(n))
-        masters = [int(m) for m in masters]
+        if not isinstance(masters, list) or not all(
+            isinstance(m, int) and not isinstance(m, bool) for m in masters
+        ):
+            raise ConfigError("masters must be a JSON list of integers")
         if not masters or len(set(masters)) != len(masters):
             raise ConfigError("masters must be a non-empty list of distinct indices")
         for m in masters:

@@ -1,5 +1,8 @@
 """Tests for solver configuration validation."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro import FRWConfig
@@ -79,8 +82,6 @@ def test_config_fields_partition_into_hash_and_allowlist():
     declared bit-invisible in the ``ENGINE_FIELDS`` allowlist — adding a
     field without classifying it fails here even without running the
     det-lint DET009 pass."""
-    import dataclasses
-
     from repro.config import ENGINE_FIELDS, RESULT_FIELDS
 
     declared = {f.name for f in dataclasses.fields(FRWConfig)}
@@ -111,3 +112,41 @@ def test_thread_executor_removed_names_replacements():
         with pytest.raises(ConfigError) as exc:
             make()
         assert "'serial'" in str(exc.value) and "'process'" in str(exc.value)
+
+
+#: Wrongly typed values per declared field type.  JSON requests can carry
+#: any of them: ``1.5`` or ``1.0`` for an int, ``"no"`` for a bool.
+WRONG_TYPES = {
+    "int": [1.5, 1.0, True, "1", None],
+    "bool": ["no", 1, 0.0, None],
+    "float": [True, "0.5", None],
+    "str": [1, True, None],
+}
+
+
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(FRWConfig)]
+)
+def test_wrongly_typed_values_rejected(field):
+    """Every field rejects values of the wrong type with a ConfigError
+    naming it; int and float fields never accept ``bool``."""
+    kind = FRWConfig.__dataclass_fields__[field].type
+    for bad in WRONG_TYPES[kind]:
+        with pytest.raises(ConfigError, match=field):
+            FRWConfig(**{field: bad})
+
+
+def test_numeric_values_stored_as_declared_type():
+    """Float fields store ints as floats and int fields store integer
+    scalars as ``int``, so equal values hash alike."""
+    from repro.service import config_digest
+
+    cfg = FRWConfig(scheduler_jitter=1, first_hop_interface_floor=0)
+    assert type(cfg.scheduler_jitter) is float
+    assert type(cfg.first_hop_interface_floor) is float
+    assert config_digest(cfg) == config_digest(
+        FRWConfig(scheduler_jitter=1.0, first_hop_interface_floor=0.0)
+    )
+    seeded = FRWConfig(seed=np.int64(7), n_threads=np.int32(2))
+    assert type(seeded.seed) is int and type(seeded.n_threads) is int
+    assert config_digest(seeded) == config_digest(FRWConfig(seed=7, n_threads=2))

@@ -2,11 +2,12 @@
 
 The acceptance criterion of the scheduler: every row of a multi-master
 ``extract()`` under the interleaved scheduler — any backend, any
-``n_workers``, allocation on or off — equals the pre-PR serial per-master
-rows bit for bit (``values``/``sigma2``/``hits``/``walks``/``batches``).
+``n_workers`` — equals the per-master ``extract_row_alg2`` rows bit for
+bit (``values``/``sigma2``/``hits``/``walks``/``batches``).
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,12 +22,9 @@ from repro.frw import (
     extract_row_alg2,
     extract_rows_interleaved,
     multilevel_extract,
+    plan_groups,
 )
-from repro.frw.scheduler import (
-    allocate_quota,
-    reweight_needed,
-    variance_weights,
-)
+from repro.frw.scheduler import allocate_quota
 
 BASE = dict(
     seed=13,
@@ -44,10 +42,8 @@ BASE = dict(
 
 @pytest.fixture(scope="module")
 def golden_rows(three_wires):
-    """Pre-PR reference: serial per-master extraction (plain engine)."""
-    cfg = FRWConfig.frw_r(
-        **BASE, executor="serial", pipeline=False, interleave_masters=False
-    )
+    """Reference: serial per-master extraction (one batch at a time)."""
+    cfg = FRWConfig.frw_r(**BASE, executor="serial", pipeline=False)
     return [
         extract_row_alg2(build_context(three_wires, m, cfg))
         for m in range(3)
@@ -66,18 +62,17 @@ def _assert_rows_match(result, golden):
         assert got.converged == stats.converged
 
 
-@pytest.mark.parametrize("allocation", ["even", "variance"])
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 @pytest.mark.parametrize("backend", ["thread", "process"])
 def test_interleaved_bitwise_golden(
-    three_wires, golden_rows, on_threads, backend, n_workers, allocation
+    three_wires, golden_rows, on_threads, backend, n_workers
 ):
     """``process`` runs one extraction on an ``n_workers`` pool; ``thread``
     runs ``n_workers`` serial extractions at once, each on its own thread
     (as the service's slots do), all sharing the per-thread RNG scratch
     design."""
     if backend == "thread":
-        cfg = FRWConfig.frw_r(**BASE, executor="serial", allocation=allocation)
+        cfg = FRWConfig.frw_r(**BASE, executor="serial")
 
         def solve():
             with FRWSolver(three_wires, cfg) as solver:
@@ -85,9 +80,7 @@ def test_interleaved_bitwise_golden(
 
         results = on_threads([solve] * n_workers)
     else:
-        cfg = FRWConfig.frw_r(
-            **BASE, executor=backend, n_workers=n_workers, allocation=allocation
-        )
+        cfg = FRWConfig.frw_r(**BASE, executor=backend, n_workers=n_workers)
         with FRWSolver(three_wires, cfg) as solver:
             results = [solver.extract()]
     for result in results:
@@ -100,14 +93,16 @@ def test_interleaved_serial_executor_bitwise(three_wires, golden_rows):
     _assert_rows_match(result, golden_rows)
 
 
-def test_interleave_opt_out_bitwise(three_wires, golden_rows):
-    cfg = FRWConfig.frw_r(
-        **BASE, executor="process", n_workers=2, interleave_masters=False
-    )
+def test_single_master_extract_on_pool_bitwise(three_wires, golden_rows):
+    """A one-master ``extract()`` is not interleaved: it registers its
+    context through the batch runner and runs on the solver's pool."""
+    cfg = FRWConfig.frw_r(**BASE, executor="process", n_workers=2)
     with FRWSolver(three_wires, cfg) as solver:
-        result = solver.extract()
-    assert result.matrix.meta["schedule"]["interleaved"] is False
-    _assert_rows_match(result, golden_rows)
+        results = [solver.extract(masters=[m]) for m in range(3)]
+        assert len(solver._executor._registry) == 3
+    for m, result in enumerate(results):
+        assert result.matrix.meta["schedule"]["interleaved"] is False
+        _assert_rows_match(result, golden_rows[m : m + 1])
 
 
 def test_register_wave_bitwise(three_wires, golden_rows):
@@ -126,7 +121,6 @@ def test_schedule_telemetry_and_asset_cache(three_wires):
         result = solver.extract()
     sched = result.matrix.meta["schedule"]
     assert sched["interleaved"] is True
-    assert sched["allocation"] == "even"
     # The structure index and cube table are built once and shared.
     cache = sched["asset_cache"]
     assert cache["index_builds"] == 1
@@ -173,7 +167,7 @@ def test_lazy_registration_for_master_subset():
 
 
 # ----------------------------------------------------------------------
-# Allocation policy units
+# Quota split units
 # ----------------------------------------------------------------------
 def test_allocate_quota_even_split():
     q = allocate_quota(np.ones(3), total=9, min_share=1)
@@ -196,61 +190,6 @@ def test_allocate_quota_deterministic_ties():
 def test_allocate_quota_all_zero_weights_falls_back_even():
     q = allocate_quota(np.zeros(4), total=8, min_share=1)
     assert q.tolist() == [2, 2, 2, 2]
-
-
-def test_variance_weights_shape():
-    w = variance_weights(np.array([np.inf, 0.05, 0.005]), tolerance=0.01)
-    assert w[0] == pytest.approx(32.0**2)  # no estimate yet: max weight
-    assert w[1] == pytest.approx(25.0)  # 5x over tolerance
-    assert w[2] == 0.0  # converged: no speculation
-
-
-def test_reweight_needed_first_round_and_shape_change():
-    w = np.array([1.0, 2.0])
-    assert reweight_needed(w, None, threshold=0.25)
-    assert reweight_needed(w, np.array([1.0, 2.0, 3.0]), threshold=0.25)
-
-
-def test_reweight_needed_ignores_uniform_decay():
-    """All weights shrinking together (every master converging) must not
-    trigger a reweight — the *shares* are unchanged."""
-    prev = np.array([8.0, 4.0, 4.0])
-    assert not reweight_needed(prev / 10.0, prev, threshold=0.05)
-    assert not reweight_needed(prev * 3.0, prev, threshold=0.05)
-
-
-def test_reweight_needed_fires_on_share_shift():
-    prev = np.array([1.0, 1.0])  # shares (0.5, 0.5)
-    moved = np.array([4.0, 1.0])  # shares (0.8, 0.2): moved 0.3 in L-inf
-    assert reweight_needed(moved, prev, threshold=0.25)
-    assert not reweight_needed(moved, prev, threshold=0.35)
-
-
-def test_reweight_needed_zero_threshold_always_fires():
-    w = np.array([1.0, 2.0])
-    assert reweight_needed(w, w.copy(), threshold=0.0)
-
-
-def test_reweight_needed_all_zero_weights_stable():
-    """Converged-everywhere rounds normalise to even shares, not NaN."""
-    zeros = np.zeros(3)
-    assert not reweight_needed(zeros, np.ones(3), threshold=0.25)
-
-
-def test_variance_allocation_hysteresis_bitwise(three_wires, golden_rows):
-    """Hysteresis changes only the schedule, never the rows; disabling it
-    (threshold 0) restores the per-round reweighting and is bitwise too."""
-    for hysteresis in (0.0, 0.25, 1.0):
-        cfg = FRWConfig.frw_r(
-            **BASE,
-            executor="process",
-            n_workers=4,
-            allocation="variance",
-            allocation_hysteresis=hysteresis,
-        )
-        with FRWSolver(three_wires, cfg) as solver:
-            result = solver.extract()
-        _assert_rows_match(result, golden_rows)
 
 
 def _rng_live_bytes() -> int:
@@ -358,10 +297,22 @@ def _assert_same_rows(got, ref):
         assert a.truncated == b.truncated
 
 
-def _per_master(structure, cfg, extract=None):
-    """The per-master loop: every master on its own single-lane arena."""
-    with FRWSolver(structure, cfg.with_(interleave_masters=False)) as solver:
-        return extract(solver) if extract else solver.extract()
+def _per_master(structure, cfg, threads=None):
+    """The per-master reference: one ``extract_row_alg2`` per master, each
+    on its own single-lane arena.  ``threads`` maps a master to the
+    virtual-thread DOP it replays at (multilevel group plans)."""
+    threads = threads or {}
+    with FRWSolver(structure, cfg) as solver:
+        pairs = [
+            extract_row_alg2(
+                solver.context(m),
+                cfg.with_(n_threads=threads.get(m, cfg.n_threads)),
+            )
+            for m in range(len(structure.conductors))
+        ]
+    return SimpleNamespace(
+        rows=[row for row, _ in pairs], stats=[stats for _, stats in pairs]
+    )
 
 
 def _count_arenas(monkeypatch):
@@ -440,13 +391,15 @@ def test_fused_arena_multilevel_thread_overrides_byte_equal(three_wires):
     """multilevel_extract's per-master DOP overrides ride the fused arena
     and give the per-master loop's rows."""
     cfg = FRWConfig.frw_r(**{**_FUSED, "n_threads": 8})
-
-    def run(solver):
-        return multilevel_extract(solver, min_threads_per_group=2)
-
-    ref = _per_master(three_wires, cfg, run)
+    plan = plan_groups([0, 1, 2], cfg.n_threads, 2)
+    threads = {
+        m: max(1, t)
+        for group, t in zip(plan.groups, plan.threads_per_group)
+        for m in group
+    }
+    ref = _per_master(three_wires, cfg, threads)
     with FRWSolver(three_wires, cfg) as solver:
-        fused = run(solver)
+        fused = multilevel_extract(solver, min_threads_per_group=2)
     assert sorted({s.thread_work.shape[0] for s in fused.stats}) != [8]
     _assert_same_rows(fused, ref)
 

@@ -1,8 +1,7 @@
 """Golden bit-identity suite for the spatial far-field fast path.
 
 The acceptance criterion of the fast path: capacitance rows extracted with
-``far_field=True`` (and the tier-2 ``sort_queries``) are byte-equal to
-``far_field=False`` rows on every reference case, every executor backend,
+``far_field=True`` are byte-equal to ``far_field=False`` rows on every reference case, every executor backend,
 every worker count, and under concurrent in-process solves — the fast
 path may only skip work whose result is provably the capped default,
 never change a bit.  The open-field case
@@ -82,7 +81,6 @@ def reference(request):
         case,
         executor="serial",
         far_field=False,
-        sort_queries=False,
     )
     return case, result
 
@@ -90,8 +88,8 @@ def reference(request):
 @pytest.mark.parametrize("backend,n_workers", BACKENDS)
 def test_far_field_rows_byte_equal(reference, on_threads, backend, n_workers):
     case, ref = reference
-    for tiers in (True, False):
-        knobs = dict(far_field=tiers, sort_queries=tiers)
+    for far_field in (True, False):
+        knobs = dict(far_field=far_field)
         if backend == "thread":
             results = on_threads(
                 [lambda: _extract(case, executor="serial", **knobs)] * n_workers
@@ -105,11 +103,12 @@ def test_far_field_rows_byte_equal(reference, on_threads, backend, n_workers):
 
 
 @pytest.mark.parametrize("knobs", [
-    dict(far_field=True, sort_queries=False),
-    dict(far_field=False, sort_queries=True),
-    dict(far_field=True, sort_queries=True, bounds_resolution=4),
+    dict(far_field=True, bounds_resolution=1),
+    dict(far_field=True, bounds_resolution=3),
+    dict(far_field=True, bounds_resolution=4),
 ])
 def test_each_tier_alone_is_bit_identical(reference, knobs):
+    """The far-field bounds are bit-invisible at every grid resolution."""
     case, ref = reference
     result = _extract(case, executor="serial", **knobs)
     _assert_rows_byte_equal(result, ref)

@@ -228,7 +228,6 @@ def test_second_wave_registration_keeps_pool(plates):
     pool: the worker PID set is unchanged across registration waves."""
     cfg = FRWConfig.frw_r(seed=5)
     with PersistentExecutor("process", n_workers=2, chunk_size=128) as ex:
-        assert not ex.restarts_on_register
         ctx0 = build_context(plates, 0, cfg)
         k0 = ex.register(ctx0, stream_spec(cfg, 0))
         uids = np.arange(300, dtype=np.uint64)
@@ -246,23 +245,6 @@ def test_second_wave_registration_keeps_pool(plates):
         assert np.array_equal(
             run_walks(ctx1, WalkStreams(5, 1), uids).omega, res1.omega
         )
-
-
-def test_legacy_fork_inheritance_still_bitwise(plates):
-    """shared_context=False keeps the historical fork-inheritance
-    protocol working (and restarting on registration)."""
-    cfg = FRWConfig.frw_r(seed=77)
-    ctx = build_context(plates, 0, cfg)
-    uids = np.arange(400, dtype=np.uint64)
-    serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    with PersistentExecutor(
-        "process", n_workers=2, chunk_size=128, shared_context=False
-    ) as ex:
-        assert ex.restarts_on_register
-        key = ex.register(ctx, stream_spec(cfg, 0))
-        res = ex.run(key, uids)
-    assert np.array_equal(serial.omega, res.omega)
-    assert np.array_equal(serial.dest, res.dest)
 
 
 def test_executor_dispatch_telemetry(plates):
@@ -303,16 +285,6 @@ def test_solver_releases_shared_blocks(plates):
         solver.extract_row(0)
         assert shm.published_blocks()  # context lives on the plane
     assert shm.published_blocks() == []  # context-manager exit unlinked
-
-
-def test_spawn_requires_shared_context():
-    with pytest.raises(ConfigError):
-        PersistentExecutor(
-            "process", n_workers=2,
-            mp_start_method="spawn", shared_context=False,
-        )
-    with pytest.raises(ConfigError):
-        FRWConfig.frw_r(mp_start_method="spawn", shared_context=False)
 
 
 def test_resolve_start_method():

@@ -496,3 +496,34 @@ class TestHTTP:
         )
         assert status == 400
         assert b"error" in body
+
+    @pytest.mark.parametrize(
+        "config, masters",
+        [
+            ({"seed": 1.5}, None),
+            ({"deterministic_merge": "no"}, None),
+            ({"sort_queries": False}, None),
+            (None, "01"),
+            (None, [1.5]),
+            (None, [True]),
+        ],
+        ids=[
+            "float-seed",
+            "string-bool",
+            "retired-field",
+            "masters-string",
+            "masters-float",
+            "masters-bool",
+        ],
+    )
+    def test_wrongly_typed_request_gets_400(self, live_server, config, masters):
+        """Values JSON can carry but the config cannot run as sent are
+        refused, never coerced."""
+        payload = {"structure": structure_to_dict(small_structure())}
+        if config is not None:
+            payload["config"] = config
+        if masters is not None:
+            payload["masters"] = masters
+        status, body = live_server._request("POST", "/extract", payload)
+        assert status == 400
+        assert b"error" in body

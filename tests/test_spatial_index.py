@@ -106,18 +106,17 @@ def test_build_index_selection():
     )
 
 
-@pytest.mark.parametrize("sort_queries", [False, True])
 @pytest.mark.parametrize("bounds_resolution", [1, 2])
-def test_far_field_fast_path_matches_plain_grid(sort_queries, bounds_resolution):
-    """Tier 1+2 on must be bitwise-identical to the plain gather path."""
+def test_far_field_fast_path_matches_plain_grid(bounds_resolution):
+    """The far-field fast path must be bitwise-identical to the plain
+    gather path."""
     s = random_structure(11)
     h_cap = 3.0
-    plain = GridIndex(s, h_cap=h_cap, far_field=False, sort_queries=False)
+    plain = GridIndex(s, h_cap=h_cap, far_field=False)
     fast = GridIndex(
         s,
         h_cap=h_cap,
         far_field=True,
-        sort_queries=sort_queries,
         bounds_resolution=bounds_resolution,
     )
     rng = np.random.default_rng(12)
@@ -126,7 +125,7 @@ def test_far_field_fast_path_matches_plain_grid(sort_queries, bounds_resolution)
     d_f, c_f = fast.query(pts)
     assert np.array_equal(d_p, d_f)
     assert np.array_equal(c_p, c_f)
-    # The structure has open space, so both tiers must actually engage.
+    # The structure has open space, so the fast path must actually engage.
     assert fast.n_far_cells > 0
     assert fast.stats.far_field_hits > 0
     assert fast.stats.candidates_pruned > 0
@@ -185,11 +184,10 @@ def test_cell_bounds_are_conservative():
     n_boxes=st.integers(1, 25),
     h_cap=st.floats(0.5, 6.0),
     far_field=st.booleans(),
-    sort_queries=st.booleans(),
     bounds_resolution=st.integers(1, 3),
 )
 def test_grid_equals_brute_force_property(
-    seed, n_boxes, h_cap, far_field, sort_queries, bounds_resolution
+    seed, n_boxes, h_cap, far_field, bounds_resolution
 ):
     """``GridIndex.query`` == capped ``BruteForceIndex.query`` — distance
     bits, winner index, and the lowest-box-index tie-break — for every
@@ -200,7 +198,6 @@ def test_grid_equals_brute_force_property(
         s,
         h_cap=h_cap,
         far_field=far_field,
-        sort_queries=sort_queries,
         bounds_resolution=bounds_resolution,
     )
     rng = np.random.default_rng(seed ^ 0xA5A5)
