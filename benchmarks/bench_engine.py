@@ -12,7 +12,8 @@ changes can track the trajectory:
   the fast path's net effect on this case is visible in one entry.
 * ``extract_seed_style``  — full ``extract_row`` with the seed's
   scheduling: per-batch engine + per-walk scalar merge replay.
-* ``extract_default``     — full ``extract_row_alg2`` with the current
+* ``extract_default``     — full ``FRWSolver.extract_row`` (the production
+  path: the cross-master scheduler with one master) at the current
   defaults (pipelined engine + vectorised ordered merge replay; the
   serial engine unless the process executor is configured).
 * ``open_field`` / ``open_field_nofast`` — the pipelined engine on an
@@ -54,18 +55,23 @@ import platform
 import subprocess
 import time
 from datetime import datetime, timezone
+from functools import partial
+from unittest import mock
 
 import numpy as np
 
-from repro import Box, Conductor, FRWConfig, Structure
+import repro.frw.solver as solver_mod
+from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
 from repro.frw import (
     StageTimers,
     build_context,
-    extract_row_alg2,
+    extract_rows_interleaved,
     run_walks,
     run_walks_pipelined,
+    stream_spec,
+    streams_from_spec,
 )
-from repro.frw.alg2_reproducible import machine_rng, make_streams
+from repro.frw.alg2_reproducible import machine_rng
 from repro.frw.estimator import RowAccumulator
 from repro.frw.scheduler import jittered_durations, simulate_dynamic_queue
 from repro.rng import WalkStreams
@@ -183,12 +189,12 @@ def _extract_config(**overrides):
 
 def bench_extract_seed_style(structure):
     """The seed's full extraction loop: plain batches + scalar merge replay."""
-    cfg = _extract_config(executor="serial", pipeline=False)
+    cfg = _extract_config(executor="serial")
     ctx = build_context(structure, 0, cfg)
 
     def run():
         timers = StageTimers()
-        streams = make_streams(cfg, ctx.master)
+        streams = streams_from_spec(stream_spec(cfg, ctx.master))
         rng_machine = machine_rng(cfg, ctx.master)
         acc = RowAccumulator(ctx.n_conductors, ctx.master, summation=cfg.summation)
         for u in range(N_BATCHES):
@@ -214,12 +220,16 @@ def bench_extract_seed_style(structure):
 
 
 def bench_extract_default(structure):
-    cfg = _extract_config()
-    ctx = build_context(structure, 0, cfg)
+    """Times ``FRWSolver.extract_row``; the engine stages are collected by
+    handing the scheduler it calls a ``StageTimers``."""
+    solver = FRWSolver(structure, _extract_config())
+    ctx = solver.context(0)
 
     def run():
         timers = StageTimers()
-        row, stats = extract_row_alg2(ctx, cfg, timers=timers)
+        timed = partial(extract_rows_interleaved, timers=timers)
+        with mock.patch.object(solver_mod, "extract_rows_interleaved", timed):
+            row, stats = solver.extract_row(0)
         return stats.total_steps, timers
 
     secs, steps, timers = _best_of(run)

@@ -77,7 +77,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
-from repro.frw import StageTimers, extract_row_alg2, extract_rows_interleaved
+from repro.frw import StageTimers, extract_rows_interleaved
 
 SEED = 9
 BATCH = 1024
@@ -219,10 +219,12 @@ def run_lane_occupancy(structure: Structure, previous: dict | None) -> dict:
     """Vector steps and lanes per step of the serial interleaved schedule.
 
     The fused arena's step count comes from the ``StageTimers`` handed to
-    the scheduler; the per-master figure sums the steps of one engine per
-    master (``extract_row_alg2``) on the same contexts.  Rows are asserted
-    byte-equal.  ``previous`` is the last trajectory entry's section, if
-    any: a >20% ``lanes_per_step`` drop against it is a ``::warning::``.
+    the scheduler; the per-master figure sums the steps of one
+    single-master scheduler run per master
+    (``extract_rows_interleaved([m], ...)``, one engine each) on the same
+    contexts.  Rows are asserted byte-equal.  ``previous`` is the last
+    trajectory entry's section, if any: a >20% ``lanes_per_step`` drop
+    against it is a ``::warning::``.
     """
     cfg = _config().with_(executor="serial")
     masters = list(range(len(structure.conductors)))
@@ -233,8 +235,8 @@ def run_lane_occupancy(structure: Structure, previous: dict | None) -> dict:
             masters, cfg, solver.context, timers=fused
         )
         for m, row in zip(masters, rows):
-            ref, _ = extract_row_alg2(
-                solver.context(m), cfg, timers=per_master
+            (ref,), _ = extract_rows_interleaved(
+                [m], cfg, solver.context, timers=per_master
             )
             assert np.array_equal(row.values, ref.values), m
     walk_steps = sum(s.total_steps for s in stats)

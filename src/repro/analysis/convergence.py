@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import FRWConfig
-from ..frw.alg2_reproducible import make_streams
 from ..frw.context import ExtractionContext
 from ..frw.engine import run_walks
 from ..frw.estimator import RowAccumulator
+from ..frw.parallel import stream_spec, streams_from_spec
 
 
 @dataclass
@@ -49,7 +49,7 @@ def trace_convergence(
 ) -> ConvergenceTrace:
     """Run a fixed walk budget, recording the stopping metric along the way."""
     cfg = config if config is not None else ctx.config
-    streams = make_streams(cfg, ctx.master)
+    streams = streams_from_spec(stream_spec(cfg, ctx.master))
     acc = RowAccumulator(ctx.n_conductors, ctx.master, summation=cfg.summation)
     trace = ConvergenceTrace()
     chunk = max(2, total_walks // checkpoints)

@@ -83,22 +83,19 @@ RESULT_FIELDS = (
 #: cache-key-completeness pass (docs/STATIC_ANALYSIS.md): a field read on
 #: the solver/engine/estimator result path that appears in neither tuple
 #: fails CI.  Justifications, by group — backend placement (``executor``,
-#: ``n_workers``, ``chunk_size``, ``mp_start_method``: UID-ordered
-#: reassembly makes worker layout invisible), scheduling (``pipeline``,
-#: ``pipeline_lookahead``, ``rng_prefetch_depth``, ``register_wave``: walk
-#: draws are a pure function of (seed, uid, step), so issue order cannot
-#: reach a bit), query fast paths (``far_field``, ``bounds_resolution``:
-#: conservative bounds return exactly the brute-force answer), and guards
-#: (``sanitize``: raises or no-ops).
+#: ``n_workers``, ``mp_start_method``: UID-ordered reassembly makes worker
+#: layout invisible), scheduling (``pipeline_lookahead``,
+#: ``rng_prefetch_depth``: walk draws are a pure function of (seed, uid,
+#: step), so issue order cannot reach a bit), query fast paths
+#: (``far_field``, ``bounds_resolution``: conservative bounds return
+#: exactly the brute-force answer), and guards (``sanitize``: raises or
+#: no-ops).
 ENGINE_FIELDS = (
     "executor",
     "n_workers",
-    "chunk_size",
     "mp_start_method",
-    "pipeline",
     "pipeline_lookahead",
     "rng_prefetch_depth",
-    "register_wave",
     "far_field",
     "bounds_resolution",
     "sanitize",
@@ -184,23 +181,22 @@ class FRWConfig:
         available, so containerized/affinity-restricted hosts size pools
         correctly — falling back to the host CPU count).  With one worker
         the process backend degrades to the serial path.
-    chunk_size:
-        UIDs per executor work item; ``0`` means auto (an even split of the
-        batch over the workers).
     mp_start_method:
         Start method of the process backend: ``"fork"``, ``"spawn"``,
         ``"forkserver"``, or ``"auto"`` (fork where available, else
         spawn).  With the shared-memory context plane all methods are
         bit-identical; spawn/forkserver cost more per pool start but work
         on every platform and give workers a clean interpreter state.
-    pipeline:
-        Cross-batch walk pipelining: when walks absorb, their vector slots
-        are refilled with UIDs from the next batch so the engine's vector
-        width stays near ``batch_size`` instead of shrinking to a ragged
-        tail.  Results are banked per batch and remain bit-identical.
     pipeline_lookahead:
-        How many batches ahead the pipeline may refill from (bounds the
-        work discarded when the stopping rule fires mid-pipeline).
+        Cross-batch walk pipelining of the serial engine: when walks
+        absorb, their vector slots are refilled with UIDs from up to this
+        many batches ahead, so the engine's vector width stays near
+        ``batch_size`` instead of shrinking to a ragged tail (it also
+        bounds the work discarded when the stopping rule fires).  ``0``
+        runs one batch at a time.  Results are banked per batch and remain
+        bit-identical.  Read only by the serial slot arena: the process
+        backend keeps ``max(live masters, 2 * workers)`` batches in flight
+        instead.
     rng_prefetch_depth:
         Steps of RNG prefetched per fused Philox pass (1-16, default 8).
         The engine keeps a ring buffer of draws for the next
@@ -229,11 +225,6 @@ class FRWConfig:
         far on tight enclosures).  Finer grids give
         tighter far-field bounds and shorter candidate lists at the cost
         of bounds memory (~17 bytes/cell) and CSR size.
-    register_wave:
-        Most masters live at once in a multi-master extraction; 0 = auto
-        (``max(8, 2 * workers)``).  A master past the bound starts when an
-        earlier one converges, so its context is built — and, on the
-        process backend, published — only then.
     antithetic:
         Generalized antithetic sampling (variance reduction): walk UIDs
         are grouped in aligned blocks of ``antithetic_group`` consecutive
@@ -302,12 +293,9 @@ class FRWConfig:
     deterministic_merge: bool = False
     executor: str = "serial"
     n_workers: int = 0
-    chunk_size: int = 0
     mp_start_method: str = "auto"
-    pipeline: bool = True
     pipeline_lookahead: int = 1
     rng_prefetch_depth: int = 8
-    register_wave: int = 0
     far_field: bool = True
     bounds_resolution: int = 2
     antithetic: bool = False
@@ -388,8 +376,6 @@ class FRWConfig:
             )
         if self.n_workers < 0:
             raise ConfigError(f"n_workers must be >= 0, got {self.n_workers}")
-        if self.chunk_size < 0:
-            raise ConfigError(f"chunk_size must be >= 0, got {self.chunk_size}")
         if self.mp_start_method not in MP_START_METHODS:
             raise ConfigError(
                 f"mp_start_method must be one of {MP_START_METHODS}, got "
@@ -403,10 +389,6 @@ class FRWConfig:
             raise ConfigError(
                 f"rng_prefetch_depth must be in [1, 16], got "
                 f"{self.rng_prefetch_depth}"
-            )
-        if self.register_wave < 0:
-            raise ConfigError(
-                f"register_wave must be >= 0, got {self.register_wave}"
             )
         if not (1 <= self.bounds_resolution <= 8):
             raise ConfigError(

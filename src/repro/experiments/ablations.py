@@ -24,9 +24,10 @@ from ..config import FRWConfig
 from ..frw import (
     build_context,
     jittered_durations,
-    make_streams,
     run_walks,
     simulate_dynamic_queue,
+    stream_spec,
+    streams_from_spec,
 )
 from ..structures import build_case
 from .common import ExperimentRecord, Stopwatch, environment_info
@@ -35,7 +36,7 @@ from .common import ExperimentRecord, Stopwatch, environment_info
 def _fixed_budget_row(structure, master, cfg, n_walks):
     """One fixed-budget extraction: estimate + mean steps."""
     ctx = build_context(structure, master, cfg)
-    streams = make_streams(cfg, master)
+    streams = streams_from_spec(stream_spec(cfg, master))
     res = run_walks(ctx, streams, np.arange(n_walks, dtype=np.uint64))
     m = res.omega.shape[0]
     c_self = float(res.omega[res.dest == master].sum() / m)
@@ -54,7 +55,7 @@ def batch_size_sweep(
     with Stopwatch() as sw:
         cfg = FRWConfig.frw_r(seed=seed)
         ctx = build_context(structure, 0, cfg)
-        streams = make_streams(cfg, 0)
+        streams = streams_from_spec(stream_spec(cfg, 0))
         rng = np.random.default_rng(0)
         for b in batch_sizes:
             res = run_walks(ctx, streams, np.arange(b, dtype=np.uint64))

@@ -127,11 +127,12 @@ def run(
 
 def _load_balance_note(structure, master, seed, batch_size, threads=16) -> str:
     """Quantify the dynamic-queue advantage over static blocks (Sec. III-C)."""
-    from ..frw import build_context, make_streams, run_walks
+    from ..frw import build_context, run_walks, stream_spec, streams_from_spec
 
     cfg = FRWConfig.frw_r(seed=seed, batch_size=batch_size)
     ctx = build_context(structure, master, cfg)
-    res = run_walks(ctx, make_streams(cfg, master), np.arange(batch_size, dtype=np.uint64))
+    streams = streams_from_spec(stream_spec(cfg, master))
+    res = run_walks(ctx, streams, np.arange(batch_size, dtype=np.uint64))
     durations = jittered_durations(res.steps, np.random.default_rng(0), 0.05)
     dyn = simulate_dynamic_queue(durations, threads)
     stat = simulate_static_blocks(durations, threads)

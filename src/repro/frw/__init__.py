@@ -8,10 +8,9 @@ from .alg2_reproducible import (
     RunStats,
     extract_row_alg2,
     machine_rng,
-    make_streams,
 )
 from .context import ExtractionContext, SharedAssets, StructureView, build_context
-from .cross_master import extract_rows_interleaved, resolve_wave
+from .cross_master import extract_rows_interleaved
 from .engine import (
     ArenaWorkspace,
     StageTimers,
@@ -25,10 +24,8 @@ from .multilevel import GroupPlan, multilevel_extract, plan_groups
 from .parallel import (
     PendingBatch,
     PersistentExecutor,
-    make_batch_runner,
     resolve_start_method,
     resolve_workers,
-    run_walks_processes,
     stream_spec,
     streams_from_spec,
 )
@@ -78,8 +75,6 @@ __all__ = [
     "extract_rows_interleaved",
     "jittered_durations",
     "machine_rng",
-    "make_batch_runner",
-    "make_streams",
     "multilevel_extract",
     "plan_groups",
     "publish_context",
@@ -93,8 +88,6 @@ __all__ = [
     "resolve_workers",
     "run_walks",
     "run_walks_pipelined",
-    "run_walks_processes",
-    "resolve_wave",
     "simulate_dynamic_queue",
     "simulate_static_blocks",
     "stream_spec",

@@ -21,10 +21,11 @@ import time
 import numpy as np
 
 from ..config import FRWConfig
-from .alg2_reproducible import RunStats, machine_rng, make_streams
+from .alg2_reproducible import RunStats, machine_rng
 from .context import ExtractionContext
 from .engine import run_walks
 from .estimator import CapacitanceRow, RowAccumulator
+from .parallel import stream_spec, streams_from_spec
 from .scheduler import jittered_durations
 
 #: Bits reserved for the per-thread walk sequence number.
@@ -40,7 +41,7 @@ def extract_row_alg1(
     n = ctx.n_conductors
     t_count = cfg.n_threads
     thread_tol = cfg.tolerance * np.sqrt(t_count)
-    streams = make_streams(cfg, ctx.master)
+    streams = streams_from_spec(stream_spec(cfg, ctx.master))
     rng_machine = machine_rng(cfg, ctx.master)
     stats = RunStats(thread_work=np.zeros(t_count))
     t_start = time.perf_counter()

@@ -14,6 +14,12 @@ is exact: outcomes are schedule-independent by construction), then the
 virtual-thread simulation replays the dynamic-queue accumulation order so
 the floating-point behaviour matches a real ``T``-thread execution,
 including merge order and machine timing noise.
+
+This module holds the per-batch state (:class:`RowProgress`) and the
+per-master reference loop (:func:`extract_row_alg2`).  Production
+extractions are driven by the cross-master scheduler
+(:func:`~repro.frw.cross_master.extract_rows_interleaved`), whose rows the
+test suites compare against the reference byte for byte.
 """
 
 from __future__ import annotations
@@ -26,13 +32,9 @@ import numpy as np
 from ..config import FRWConfig
 from ..rng import seeded_generator, splitmix64
 from .context import ExtractionContext
+from .engine import run_walks
 from .estimator import CapacitanceRow, RowAccumulator
-from .parallel import (
-    PersistentExecutor,
-    make_batch_runner,
-    stream_spec,
-    streams_from_spec,
-)
+from .parallel import stream_spec, streams_from_spec
 from .scheduler import jittered_durations, simulate_dynamic_queue
 
 
@@ -76,17 +78,6 @@ class RunStats:
         return self.discarded_batches / self.dispatched_batches
 
 
-def make_streams(config: FRWConfig, master: int):
-    """Per-walk stream provider for the configured RNG kind.
-
-    Each master conductor gets an independent stream family (domain
-    separation), so multi-level parallelism cannot collide streams.  The
-    same provider the batch runners and pool workers build from
-    :func:`~repro.frw.parallel.stream_spec`.
-    """
-    return streams_from_spec(stream_spec(config, master))
-
-
 def machine_rng(config: FRWConfig, master: int) -> np.random.Generator:
     """The simulated machine's timing-noise RNG (never affects samples)."""
     return seeded_generator(
@@ -98,12 +89,12 @@ class RowProgress:
     """Streaming accumulate-and-checkpoint state of one row extraction.
 
     This is the *only* implementation of the per-batch accumulation and
-    the Alg. 2 global checkpoint: both :func:`extract_row_alg2` and the
-    cross-master interleaved scheduler feed batch results through it, so
-    a master's row is bit-identical under any batch execution schedule by
-    construction — provided batches are absorbed in batch-index order
-    (the machine RNG and the virtual-thread replay consume them in that
-    order).
+    the Alg. 2 global checkpoint: both the reference
+    :func:`extract_row_alg2` and the cross-master scheduler feed batch
+    results through it, so a master's row is bit-identical under any
+    batch execution schedule by construction — provided batches are
+    absorbed in batch-index order (the machine RNG and the virtual-thread
+    replay consume them in that order).
     """
 
     def __init__(self, ctx: ExtractionContext, config: FRWConfig | None = None):
@@ -185,52 +176,25 @@ class RowProgress:
 
 
 def extract_row_alg2(
-    ctx: ExtractionContext,
-    config: FRWConfig | None = None,
-    executor: PersistentExecutor | None = None,
-    timers=None,
+    ctx: ExtractionContext, config: FRWConfig | None = None
 ) -> tuple[CapacitanceRow, RunStats]:
     """Extract one capacitance-matrix row with the reproducible scheme.
 
-    This is the per-master reference: the cross-master scheduler's rows
-    are asserted byte-equal to it.  Walk batches come from the runner
-    :func:`~repro.frw.parallel.make_batch_runner` picks for the config —
-    a one-lane slot arena on the serial engine (pipelined across batches
-    unless ``pipeline=False``), or the persistent process pool with
-    ``pipeline_lookahead`` batches in flight.  Every runner yields
-    per-batch results in UID order, so the row is bit-identical across
-    all of them.  Pass ``executor`` (e.g. from
-    :meth:`~repro.frw.solver.FRWSolver.walk_executor`) to reuse one pool
-    across calls; otherwise a pool is created and closed here when the
-    config calls for one.  ``timers`` (an optional
-    :class:`~repro.frw.engine.StageTimers`) collects the engine's
-    per-stage breakdown on the serial engine; pool workers cannot report
-    stages.
+    This is the per-master *reference* that the bit-identity suites
+    compare the cross-master scheduler against: batch ``u`` (UIDs
+    ``uB .. (u+1)B-1``) runs through :func:`~repro.frw.engine.run_walks`
+    and is absorbed before batch ``u+1`` starts — no runner, pool, or
+    speculation, so it shares no scheduling code with the driver it
+    checks.  Production extractions go through
+    :meth:`~repro.frw.solver.FRWSolver.extract_row`.
     """
     cfg = config if config is not None else ctx.config
     progress = RowProgress(ctx, cfg)
-    runner, owned = make_batch_runner(ctx, cfg, executor, timers=timers)
-
-    try:
-        batch_index = 0
-        while True:
-            results = runner.run_batch(batch_index)
-            progress.stats.dispatched_batches += 1
-            batch_index += 1
-            if progress.absorb(results):
-                break
-    finally:
-        runner.close()
-        if owned is not None:
-            owned.close()
-
-    # Pipelined process dispatch may leave speculative batches in flight
-    # when the stopping rule fires; the runner counts them at close().
-    # They were dispatched work the row never consumed — account them so
-    # the speculation telemetry matches the cross-master scheduler's.
-    discarded = int(getattr(runner, "speculative_discarded", 0))
-    if discarded:
-        progress.stats.dispatched_batches += discarded
-        progress.stats.discarded_batches += discarded
-
-    return progress.finalize()
+    streams = streams_from_spec(stream_spec(cfg, ctx.master))
+    base = 0
+    while True:
+        uids = np.arange(base, base + cfg.batch_size, dtype=np.uint64)
+        base += cfg.batch_size
+        progress.stats.dispatched_batches += 1
+        if progress.absorb(run_walks(ctx, streams, uids)):
+            return progress.finalize()

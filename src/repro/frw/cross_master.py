@@ -1,10 +1,13 @@
-"""Cross-master interleaved extraction scheduler (Sec. IV multi-level
-parallelism, realised over the real executors).
+"""Cross-master interleaved extraction scheduler: the one Alg. 2 driver
+(Sec. IV multi-level parallelism, realised over the real executors).
 
-Running masters one after another leaves master ``i``'s convergence tail
-(a last ragged batch draining on one worker) idling the rest of the pool
-while master ``i+1`` has not started.  This module interleaves *all*
-masters' batch streams instead:
+Every reproducible extraction — one master or many, serial or process,
+``FRWSolver.extract_row``, ``FRWSolver.extract`` and
+``multilevel_extract`` — runs through :func:`extract_rows_interleaved`.
+Running masters one after another would leave master ``i``'s convergence
+tail (a last ragged batch draining on one worker) idling the rest of the
+pool while master ``i+1`` has not started, so all masters' batch streams
+are interleaved instead:
 
 * every master keeps its own UID stream, batch order, accumulator, machine
   RNG, and Alg. 2 global checkpoints — exactly the per-master state of
@@ -21,25 +24,26 @@ masters' batch streams instead:
 * on the serial path (no pool) there is **one engine for all masters**:
   every admitted master is a lane of a single slot arena
   (:class:`~repro.frw.parallel.PipelinedBatchRunner`, or
-  :class:`~repro.frw.parallel.SerialBatchRunner` with ``pipeline=False``,
-  grown with ``add_master``).  Harvesting master ``m``'s next batch steps
-  the shared arena until that batch is complete, so every vector step
-  advances all live masters' walks and its fixed dispatch cost is paid
-  once, not once per master; a master whose stopping rule fires has its
-  in-flight walks evicted from the arena.
+  :class:`~repro.frw.parallel.SerialBatchRunner` with
+  ``pipeline_lookahead=0``, grown with ``add_master``).  Harvesting master
+  ``m``'s next batch steps the shared arena until that batch is complete,
+  so every vector step advances all live masters' walks and its fixed
+  dispatch cost is paid once, not once per master; a master whose
+  stopping rule fires has its in-flight walks evicted from the arena.
 
 Reproducibility: a master's row is a pure function of its accumulated
 batch prefix (results are schedule-independent, accumulation happens in
 batch order through ``RowProgress``), and the quota only decides *which*
 speculative batches are in flight — never their contents.  Every row is
-therefore bit-identical to the per-master extraction, at any backend or
+therefore bit-identical to the per-master reference
+:func:`~repro.frw.alg2_reproducible.extract_row_alg2`, at any backend or
 worker count.
 
-At most ``config.register_wave`` masters are live at once; a later
-master is admitted when an earlier one converges, so its context is
-built — and, on the process backend, published to the shared-memory
-plane — only when it starts.  Publishing never restarts the pool, so
-admission never waits for in-flight batches.
+At most ``max(8, 2 * workers)`` masters are live at once; a later master
+is admitted when an earlier one converges, so its context is built — and,
+on the process backend, published to the shared-memory plane — only when
+it starts.  Publishing never restarts the pool, so admission never waits
+for in-flight batches.
 """
 
 from __future__ import annotations
@@ -152,13 +156,6 @@ class _MasterRun:
         return self.done
 
 
-def resolve_wave(register_wave: int, n_workers: int) -> int:
-    """Most masters live at once (0 = auto)."""
-    if register_wave > 0:
-        return register_wave
-    return max(8, 2 * n_workers)
-
-
 def extract_rows_interleaved(
     masters: list[int],
     config: FRWConfig,
@@ -167,7 +164,8 @@ def extract_rows_interleaved(
     thread_overrides: dict[int, int] | None = None,
     timers: StageTimers | None = None,
 ) -> tuple[list[CapacitanceRow], list[RunStats]]:
-    """Extract all masters' rows as one interleaved batch stream.
+    """Extract the masters' rows (one or more) as one interleaved batch
+    stream.
 
     ``context_for`` supplies (and may cache) per-master contexts —
     typically ``FRWSolver.context``.  ``thread_overrides`` maps a master
@@ -182,7 +180,7 @@ def extract_rows_interleaved(
     per-master config.
     """
     workers = executor.n_workers if executor is not None else 1
-    wave = resolve_wave(config.register_wave, workers)
+    wave = max(8, 2 * workers)
     overrides = thread_overrides or {}
 
     def master_config(master: int) -> FRWConfig:
@@ -207,7 +205,11 @@ def extract_rows_interleaved(
             arena.add_master(ctx, streams)
         else:
             group = cfg.antithetic_group if cfg.antithetic else 1
-            if cfg.pipeline:
+            if cfg.pipeline_lookahead == 0:
+                arena = SerialBatchRunner(
+                    ctx, streams, cfg.batch_size, timers=timers, group=group
+                )
+            else:
                 arena = PipelinedBatchRunner(
                     ctx,
                     streams,
@@ -215,10 +217,6 @@ def extract_rows_interleaved(
                     cfg.pipeline_lookahead,
                     timers=timers,
                     group=group,
-                )
-            else:
-                arena = SerialBatchRunner(
-                    ctx, streams, cfg.batch_size, timers=timers, group=group
                 )
         return _MasterRun(m, ctx, cfg, None, arena)
 

@@ -1,4 +1,4 @@
-"""Real multi-core executors and batch runners for walk computation.
+"""The process pool and the in-process batch runners of Alg. 2.
 
 The virtual-thread scheduler reproduces parallel *floating-point behaviour*;
 this module provides actual concurrency for throughput.  The centrepiece is
@@ -13,23 +13,21 @@ no thread pool: the engine's per-step NumPy calls are too small to overlap
 under the GIL, and a thread pool ran slower than the in-process serial
 engine (docs/PERFORMANCE.md, layer 1).
 
-On top of the executor sit the *batch runners* used by
-``extract_row_alg2`` and the cross-master scheduler: each runner exposes
-``run_batch(batch_index)`` and differs only in how the walks are
-scheduled:
+The serial path has no pool.  Its *batch runners* are slot arenas the
+cross-master scheduler (:mod:`repro.frw.cross_master`, the one Alg. 2
+driver) grows with one lane per live master; ``run_batch(u, master)``
+returns a master's next batch in UID order:
 
-* :class:`SerialBatchRunner` — one batch at a time (``pipeline=False``).
+* :class:`SerialBatchRunner` — one batch at a time per master
+  (``pipeline_lookahead=0``).
 * :class:`PipelinedBatchRunner` — one refill-capable
-  :class:`~repro.frw.engine.WalkPipeline` spanning all batches.  Both
-  in-process runners can hold several masters in one slot arena
-  (``add_master``), which is how the serial scheduler runs every live
-  master through one engine.
-* :class:`ProcessBatchRunner` — chunks dispatched to the persistent
-  process pool, with cross-batch *dispatch pipelining*: while batch ``u``
-  is being harvested, chunks of batches ``u+1 .. u+lookahead`` are already
-  in flight, so the pool never drains at a batch boundary.  UIDs are a
-  pure function of the batch index and results reassemble in UID order,
-  so speculation trades wall time only.
+  :class:`~repro.frw.engine.WalkPipeline` spanning ``pipeline_lookahead``
+  batches ahead.
+
+On the process backend the scheduler dispatches batches straight to the
+executor (:meth:`PersistentExecutor.run_async`) and keeps up to
+``max(live masters, 2 * workers)`` of them in flight, so the pool never
+drains at a batch boundary.
 
 The process backend ships contexts through the **shared-memory context
 plane** (:mod:`repro.frw.shm`): registering a context publishes its arrays
@@ -58,7 +56,7 @@ import time
 
 import numpy as np
 
-from ..config import EXECUTOR_KINDS, MP_START_METHODS, FRWConfig
+from ..config import MP_START_METHODS, FRWConfig
 from ..errors import ConfigError
 from . import shm
 from .context import ExtractionContext
@@ -147,11 +145,10 @@ def resolve_start_method(method: str = "auto") -> str:
     return method
 
 
-def _chunk_bounds(n: int, workers: int, chunk_size: int) -> list[tuple[int, int]]:
-    if chunk_size <= 0:
-        chunk_size = max(64, (n + workers - 1) // max(1, workers))
-    chunk_size = max(1, min(chunk_size, n)) if n else 1
-    return [(start, min(start + chunk_size, n)) for start in range(0, n, chunk_size)]
+def _chunk_bounds(n: int, parts: int) -> list[tuple[int, int]]:
+    """``n`` UIDs split into at most ``parts`` contiguous, even chunks."""
+    size = max(1, -(-n // max(1, parts)))
+    return [(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 def _reassemble(uids: np.ndarray, parts: list[WalkResults]) -> WalkResults:
@@ -236,55 +233,36 @@ class PendingBatch:
 
 
 class PersistentExecutor:
-    """A walk-execution pool created once and reused for a whole extraction.
+    """A process pool created once and reused for a whole extraction.
 
     Parameters
     ----------
-    backend:
-        ``"process"`` (``"serial"`` is accepted and makes :meth:`run` a
-        plain in-process engine call, for uniform call sites).
     n_workers:
         Pool width; ``0`` means auto (the CPUs this process may run on;
         see :func:`resolve_workers`).
-    chunk_size:
-        UIDs per work item; ``0`` means auto (even split over workers).
     mp_start_method:
-        Start method of the process backend (``"auto"``, ``"fork"``,
-        ``"spawn"``, ``"forkserver"``; see :func:`resolve_start_method`).
+        Start method of the pool (``"auto"``, ``"fork"``, ``"spawn"``,
+        ``"forkserver"``; see :func:`resolve_start_method`).
 
     Contexts are registered once per master (:meth:`register`), which
     publishes them into shared-memory blocks; the pool is created once on
     first dispatch, workers attach lazily, and per-batch messages carry
     only the manifest.  Any number of batches can then be dispatched with
-    :meth:`run`.  Dispatch
+    :meth:`run` or :meth:`run_async`.  Dispatch
     telemetry (work items, pickled payload bytes) accumulates in
     :meth:`dispatch_stats`; :meth:`worker_stats` probes the live pool for
-    worker PIDs and per-worker attachment counts.
+    worker PIDs and per-worker attachment counts.  The serial backend has
+    no executor (``FRWSolver.walk_executor`` returns ``None``).
     """
 
-    def __init__(
-        self,
-        backend: str = "process",
-        n_workers: int = 0,
-        chunk_size: int = 0,
-        mp_start_method: str = "auto",
-    ):
+    def __init__(self, n_workers: int = 0, mp_start_method: str = "auto"):
         # Set first so __del__/close stay safe if validation below raises.
         self._closed = True
-        if backend not in EXECUTOR_KINDS:
-            raise ConfigError(
-                f"executor backend must be one of {EXECUTOR_KINDS}, got {backend!r}"
-            )
-        self.backend = backend
         self.n_workers = resolve_workers(n_workers)
-        self.chunk_size = int(chunk_size)
         self.mp_start_method = mp_start_method
-        if backend == "process":
-            # Resolve eagerly so a bad method/platform combination fails at
-            # construction, not mid-extraction.
-            self._start_method = resolve_start_method(mp_start_method)
-        else:
-            self._start_method = None
+        # Resolve eagerly so a bad method/platform combination fails at
+        # construction, not mid-extraction.
+        self._start_method = resolve_start_method(mp_start_method)
         self._process_pool = None
         self._registry: dict[int, tuple[ExtractionContext, StreamSpec]] = {}
         self._keys: dict[tuple[int, StreamSpec], int] = {}
@@ -294,15 +272,20 @@ class PersistentExecutor:
         self.dispatches = 0
         self.dispatch_pickle_bytes = 0
 
+    @property
+    def backend(self) -> str:
+        """Always ``"process"`` (the ``FRWConfig.executor`` it serves)."""
+        return "process"
+
     # ------------------------------------------------------------------
     # Registration (context shipping)
     # ------------------------------------------------------------------
     def register(self, ctx: ExtractionContext, spec: StreamSpec) -> int:
         """Register a context + stream spec once; returns its dispatch key.
 
-        On the process backend this *publishes* the context into a
-        shared-memory block immediately — the pool (if any) keeps running
-        and workers attach on first dispatch.
+        This *publishes* the context into a shared-memory block
+        immediately — the pool (if any) keeps running and workers attach
+        on first dispatch.
         """
         ident = (id(ctx), spec)
         key = self._keys.get(ident)
@@ -312,8 +295,7 @@ class PersistentExecutor:
         self._next_key += 1
         self._registry[key] = (ctx, spec)
         self._keys[ident] = key
-        if self.backend == "process":
-            self._manifests[key] = shm.publish_context(ctx, spec)
+        self._manifests[key] = shm.publish_context(ctx, spec)
         return key
 
     # ------------------------------------------------------------------
@@ -342,31 +324,28 @@ class PersistentExecutor:
 
         The handle's :meth:`PendingBatch.result` reassembles the chunk
         results in UID order, so a gathered batch is bit-identical to the
-        serial engine no matter how its chunks were scheduled.  On the
-        serial fallback the handle is *lazy* — the walks run on the first
-        ``result()`` call, so handles that are dropped (speculative
-        batches past a stopping rule) cost nothing.
+        serial engine no matter how its chunks were scheduled.  A
+        one-worker pool (or a one-UID batch) runs in-process and *lazily*
+        — the walks run on the first ``result()`` call, so handles that
+        are dropped (speculative batches past a stopping rule) cost
+        nothing.
 
-        ``max_chunks`` caps how many work items the batch splits into
-        (the cross-master scheduler keeps batches whole when enough other
-        masters' batches fill the pool — wide engine vectors beat fine
-        chunking).  An explicit ``chunk_size`` on the executor wins over
-        the cap; chunking never changes results, only the schedule.
+        The batch splits into ``max_chunks`` even work items (default:
+        one per worker).  The cross-master scheduler keeps batches whole
+        when enough other masters' batches fill the pool — wide engine
+        vectors beat fine chunking; chunking never changes results, only
+        the schedule.
         """
         uids = np.asarray(uids, dtype=np.uint64)
         n = uids.shape[0]
         ctx, spec = self._registry[key]
-        if self.backend == "serial" or self.n_workers == 1 or n < 2:
+        if self.n_workers == 1 or n < 2:
             return PendingBatch(
                 uids, thunk=lambda: run_walks(ctx, streams_from_spec(spec), uids)
             )
-        if max_chunks is not None and self.chunk_size <= 0:
-            max_chunks = max(1, int(max_chunks))
-            bounds = _chunk_bounds(
-                n, max_chunks, (n + max_chunks - 1) // max_chunks
-            )
-        else:
-            bounds = _chunk_bounds(n, self.n_workers, self.chunk_size)
+        bounds = _chunk_bounds(
+            n, self.n_workers if max_chunks is None else max_chunks
+        )
         chunks = [uids[a:b] for a, b in bounds]
         self.dispatches += len(chunks)
         pool = self._processes()
@@ -408,12 +387,10 @@ class PersistentExecutor:
 
         Maps short sleep probes across the pool (``chunksize=1`` so they
         spread over workers) and reports, per observed worker PID, how many
-        shared context blocks that worker has attached.  Empty for
-        non-process backends.  Scheduling decides which workers answer, so
-        this is telemetry — results never feed back into walk values.
+        shared context blocks that worker has attached.  Scheduling
+        decides which workers answer, so this is telemetry — results never
+        feed back into walk values.
         """
-        if self.backend != "process":
-            return {}
         pool = self._processes()
         n = max(1, self.n_workers) * max(1, int(probes_per_worker))
         rows = pool.map(_worker_probe, [delay] * n, chunksize=1)
@@ -463,7 +440,7 @@ class PersistentExecutor:
 
 
 # ----------------------------------------------------------------------
-# Batch runners: uniform per-batch API over the scheduling strategies.
+# In-process batch runners: the serial scheduler's one slot arena.
 # ----------------------------------------------------------------------
 def _batch_feed(batch_size: int):
     """UID feed for ``WalkPipeline``: every UID of each batch in turn."""
@@ -484,8 +461,7 @@ class _ArenaRunner:
     ``run_batch(u, master)`` steps the shared arena until that master's
     next batch is complete (other masters' walks advance and bank their
     results along the way) and returns it in UID order; ``close(master)``
-    evicts a master whose stopping rule fired.  With one master and
-    ``master=None`` this is the plain per-master runner.
+    evicts a master whose stopping rule fired.
     """
 
     def __init__(
@@ -496,7 +472,6 @@ class _ArenaRunner:
         lookahead: int = 1,
         timers: StageTimers | None = None,
         group: int = 1,
-        prefetch: int | None = None,
     ):
         self.batch_size = int(batch_size)
         self._pipe = WalkPipeline(
@@ -507,9 +482,7 @@ class _ArenaRunner:
             lookahead=lookahead,
             timers=timers,
             group=group,
-            prefetch=prefetch,
         )
-        self._first = ctx.master
         self._lanes = {ctx.master: 0}
 
     def add_master(self, ctx: ExtractionContext, streams) -> None:
@@ -520,24 +493,18 @@ class _ArenaRunner:
             ctx, streams, _batch_feed(self.batch_size)
         )
 
-    def run_batch(
-        self, batch_index: int, master: int | None = None
-    ) -> WalkResults:
+    def run_batch(self, batch_index: int, master: int) -> WalkResults:
         """The master's next batch (batches come in order; ``batch_index``
-        names it for the runner API).  ``None`` is the first master."""
-        return self._pipe.next_batch(
-            self._lanes[self._first if master is None else master]
-        )
+        names it for the runner API)."""
+        return self._pipe.next_batch(self._lanes[master])
 
-    def close(self, master: int | None = None) -> None:
-        """Evict one master's walks (``None``: every master's)."""
-        masters = list(self._lanes) if master is None else [master]
-        for m in masters:
-            self._pipe.close_lane(self._lanes[m])
+    def close(self, master: int) -> None:
+        """Evict one master's in-flight walks from the arena."""
+        self._pipe.close_lane(self._lanes[master])
 
 
 class SerialBatchRunner(_ArenaRunner):
-    """One batch at a time per master (the historical path).
+    """One batch at a time per master (``pipeline_lookahead=0``).
 
     A persistent lookahead-0 arena: each master's batch drains completely
     before its next one feeds, so the schedule — and therefore every
@@ -553,184 +520,10 @@ class SerialBatchRunner(_ArenaRunner):
         batch_size: int,
         timers: StageTimers | None = None,
         group: int = 1,
-        prefetch: int | None = None,
     ):
-        super().__init__(
-            ctx,
-            streams,
-            batch_size,
-            0,
-            timers=timers,
-            group=group,
-            prefetch=prefetch,
-        )
+        super().__init__(ctx, streams, batch_size, 0, timers=timers, group=group)
 
 
 class PipelinedBatchRunner(_ArenaRunner):
     """One refill pipeline spanning all batches of one or more masters
     (serial hardware)."""
-
-
-class ProcessBatchRunner:
-    """Batches dispatched to the persistent process pool, pipelined across
-    batch boundaries (RidgeWalker's dispatch model).
-
-    ``run_batch(u)`` keeps up to ``lookahead`` batches beyond ``u`` in
-    flight, so while batch ``u`` is being gathered the pool is already
-    computing ``u+1 .. u+lookahead`` — the workers never drain at a batch
-    boundary.  Batch UIDs are a pure function of the batch index and every
-    batch reassembles in UID order, so speculation changes wall time only;
-    batches still in flight when the stopping rule fires are counted in
-    ``speculative_discarded`` (dispatched work the row never consumed).
-    """
-
-    def __init__(
-        self,
-        ctx: ExtractionContext,
-        spec: StreamSpec,
-        batch_size: int,
-        executor: PersistentExecutor,
-        lookahead: int = 1,
-    ):
-        self.batch_size = int(batch_size)
-        self.executor = executor
-        self.lookahead = max(0, int(lookahead))
-        self._key = executor.register(ctx, spec)
-        self._inflight: dict[int, PendingBatch] = {}
-        self._next_dispatch = 0
-        self.speculative_discarded = 0
-
-    def _dispatch(self, batch_index: int) -> PendingBatch:
-        base = batch_index * self.batch_size
-        uids = np.arange(base, base + self.batch_size, dtype=np.uint64)
-        return self.executor.run_async(self._key, uids)
-
-    def run_batch(self, batch_index: int) -> WalkResults:
-        target = max(batch_index + 1 + self.lookahead, batch_index + 1)
-        while self._next_dispatch < target:
-            self._inflight[self._next_dispatch] = self._dispatch(
-                self._next_dispatch
-            )
-            self._next_dispatch += 1
-        handle = self._inflight.pop(batch_index, None)
-        if handle is None:
-            # Out-of-order harvest (not used by extract_row_alg2, but the
-            # runner API allows it): dispatch on demand.
-            handle = self._dispatch(batch_index)
-        return handle.result()
-
-    def close(self) -> None:
-        # The pool is shared and owned elsewhere; dropped handles are never
-        # gathered, so the only cost of speculation is worker time already
-        # spent (bounded by `lookahead` batches).
-        self.speculative_discarded += len(self._inflight)
-        self._inflight.clear()
-
-
-def make_batch_runner(
-    ctx: ExtractionContext,
-    config: FRWConfig,
-    executor: PersistentExecutor | None = None,
-    timers: StageTimers | None = None,
-):
-    """Pick the batch runner for a config.
-
-    Returns ``(runner, owned_executor)`` where ``owned_executor`` is a
-    :class:`PersistentExecutor` created here (caller must close it), or
-    ``None`` when the executor was supplied (e.g. by ``FRWSolver``, which
-    keeps one pool alive across masters) or not needed.
-
-    ``timers`` (optional) accumulates the engine's per-stage wall time:
-    serial/pipelined runners charge it directly.  The process runner
-    cannot report stages — the engine loops run in pool workers — and
-    leaves ``timers`` untouched.
-    """
-    backend = config.executor
-    workers = (
-        executor.n_workers if executor is not None else resolve_workers(config.n_workers)
-    )
-    spec = stream_spec(config, ctx.master)
-    group = config.antithetic_group if config.antithetic else 1
-    # In-process runners get the prefetch depth explicitly; process
-    # workers rebuild their pipelines from the shipped context and inherit
-    # it from ``ctx.config.rng_prefetch_depth`` (prefetching is
-    # bit-invisible, so the knob never needs to cross the wire separately).
-    prefetch = config.rng_prefetch_depth
-    owned = None
-    if backend != "serial" and workers > 1 and executor is None:
-        owned = PersistentExecutor(
-            backend,
-            config.n_workers,
-            config.chunk_size,
-            mp_start_method=config.mp_start_method,
-        )
-        executor = owned
-    if backend == "serial" or workers <= 1 or executor is None:
-        streams = streams_from_spec(spec)
-        if config.pipeline:
-            runner = PipelinedBatchRunner(
-                ctx,
-                streams,
-                config.batch_size,
-                config.pipeline_lookahead,
-                timers=timers,
-                group=group,
-                prefetch=prefetch,
-            )
-        else:
-            runner = SerialBatchRunner(
-                ctx,
-                streams,
-                config.batch_size,
-                timers=timers,
-                group=group,
-                prefetch=prefetch,
-            )
-    else:
-        runner = ProcessBatchRunner(
-            ctx,
-            spec,
-            config.batch_size,
-            executor,
-            lookahead=config.pipeline_lookahead if config.pipeline else 0,
-        )
-    return runner, owned
-
-
-# ----------------------------------------------------------------------
-# One-shot convenience (kept for benchmarks and direct engine use; the
-# extraction path goes through PersistentExecutor + batch runners).
-# ----------------------------------------------------------------------
-def run_walks_processes(
-    ctx: ExtractionContext,
-    seed: int,
-    stream: int,
-    uids: np.ndarray,
-    n_workers: int,
-    chunk_size: int | None = None,
-    start_method: str = "auto",
-) -> WalkResults:
-    """Execute one UID batch across a short-lived process pool.
-
-    Mirrors the distributed-memory deployments of FRW solvers: workers
-    share nothing but the published context (one shared-memory block) and
-    the global seed; results are reassembled in UID order and are
-    bit-identical to the serial engine.  Counter-based streams make this
-    trivially correct — any worker can evaluate any walk.
-
-    ``start_method`` picks the pool start method (``"auto"``, ``"fork"``,
-    ``"spawn"``, ``"forkserver"``); the shared-memory context plane makes
-    all of them produce identical bits on every platform that has them.
-    """
-    uids = np.asarray(uids, dtype=np.uint64)
-    n = uids.shape[0]
-    workers = max(1, int(n_workers))
-    if workers == 1 or n < 2:
-        from ..rng import WalkStreams
-
-        return run_walks(ctx, WalkStreams(seed, stream), uids)
-    with PersistentExecutor(
-        "process", workers, int(chunk_size or 0), mp_start_method=start_method
-    ) as executor:
-        key = executor.register(ctx, ("philox", seed, stream))
-        return executor.run(key, uids)

@@ -22,12 +22,12 @@ frw-r     Alg. 2, Kahan, CBRNG                       none
 frw-rr    Alg. 2, Kahan, CBRNG                       Alg. 3 regularization
 ========  =========================================  ====================
 
-Every multi-master extraction except ``alg1`` runs through the
-cross-master interleaved scheduler: on the serial engine all masters are
-lanes of one slot arena, on the process backend their batches share the
-one pool, and each row stays bit-identical to a per-master
-``extract_row`` (see :mod:`repro.frw.cross_master`).  ``alg1`` and
-single-master calls run master after master.
+Every extraction except ``alg1`` — one master or many — runs through
+the cross-master interleaved scheduler: on the serial engine all masters
+are lanes of one slot arena, on the process backend their batches share
+the one pool, and each row stays bit-identical to the per-master
+reference ``extract_row_alg2`` (see :mod:`repro.frw.cross_master`).
+``alg1`` runs master after master.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from ..geometry import Structure
 from ..lint.sanitizer import maybe_forbid_global_rng
 from ..reliability import PropertyReport, check_properties, regularize
 from .alg1_baseline import extract_row_alg1
-from .alg2_reproducible import RunStats, extract_row_alg2
+from .alg2_reproducible import RunStats
 from .context import ExtractionContext, SharedAssets, build_context
 from .cross_master import extract_rows_interleaved
 from .estimator import CapacitanceRow
@@ -216,17 +216,14 @@ class FRWSolver:
 
         Created on first use; ``None`` whenever the config resolves to
         serial execution (``executor="serial"`` or a single worker), in
-        which case the batch runners fall back to the in-process engine.
+        which case the scheduler runs the in-process engine.
         """
         cfg = self.config
         if cfg.executor == "serial" or resolve_workers(cfg.n_workers) <= 1:
             return None
         if self._executor is None:
             self._executor = PersistentExecutor(
-                cfg.executor,
-                cfg.n_workers,
-                cfg.chunk_size,
-                mp_start_method=cfg.mp_start_method,
+                cfg.n_workers, mp_start_method=cfg.mp_start_method
             )
         return self._executor
 
@@ -256,22 +253,17 @@ class FRWSolver:
         process raises :class:`~repro.errors.DeterminismError`.
         """
         with maybe_forbid_global_rng(self.config.sanitize):
-            ctx = self.context(master)
             if self.config.variant == "alg1":
-                return extract_row_alg1(ctx, self.config)
-            return extract_row_alg2(
-                ctx, self.config, executor=self.walk_executor()
+                return extract_row_alg1(self.context(master), self.config)
+            rows, stats = extract_rows_interleaved(
+                [master], self.config, self.context, executor=self.walk_executor()
             )
+        return rows[0], stats[0]
 
-    def _extract_serial_masters(
-        self,
-        masters: list[int],
-        executor: PersistentExecutor | None,
-        thread_overrides: dict[int, int] | None,
+    def _extract_alg1(
+        self, masters: list[int], thread_overrides: dict[int, int] | None
     ) -> tuple[list[CapacitanceRow], list[RunStats]]:
-        """Master after master: ``alg1`` (which never uses the executor)
-        and single-master calls, whose context registers with the pool
-        through the batch runner."""
+        """Master after master: ``alg1`` never uses the executor."""
         overrides = thread_overrides or {}
         rows: list[CapacitanceRow] = []
         stats: list[RunStats] = []
@@ -280,11 +272,7 @@ class FRWSolver:
             t = overrides.get(master)
             if t is not None and t != cfg.n_threads:
                 cfg = cfg.with_(n_threads=max(1, t))
-            ctx = self.context(master)
-            if cfg.variant == "alg1":
-                row, stat = extract_row_alg1(ctx, cfg)
-            else:
-                row, stat = extract_row_alg2(ctx, cfg, executor=executor)
+            row, stat = extract_row_alg1(self.context(master), cfg)
             rows.append(row)
             stats.append(stat)
         return rows, stats
@@ -298,9 +286,9 @@ class FRWSolver:
     ) -> ExtractionResult:
         """Extract rows for the given masters (default: all conductors).
 
-        Multi-master calls other than ``alg1`` run through the
-        cross-master interleaved scheduler (rows are bit-identical to a
-        per-master :meth:`extract_row`).  ``thread_overrides`` maps a master to
+        Every variant but ``alg1`` runs through the cross-master
+        interleaved scheduler (rows are bit-identical to a per-master
+        :meth:`extract_row`).  ``thread_overrides`` maps a master to
         the virtual-thread DOP its accumulation replays at (used by
         :func:`~repro.frw.multilevel.multilevel_extract` group plans).
 
@@ -311,27 +299,24 @@ class FRWSolver:
             masters = list(range(len(self.structure.conductors)))
         if not masters:
             raise ConfigError("need at least one master conductor")
-        executor = self.walk_executor()
-        interleaved = len(masters) > 1 and self.config.variant != "alg1"
+        alg1 = self.config.variant == "alg1"
         t0 = time.perf_counter()
         with maybe_forbid_global_rng(self.config.sanitize):
-            if interleaved:
+            if alg1:
+                rows, stats = self._extract_alg1(masters, thread_overrides)
+            else:
                 rows, stats = extract_rows_interleaved(
                     masters,
                     self.config,
                     self.context,
-                    executor=executor,
+                    executor=self.walk_executor(),
                     thread_overrides=thread_overrides,
-                )
-            else:
-                rows, stats = self._extract_serial_masters(
-                    masters, executor, thread_overrides
                 )
         wall = time.perf_counter() - t0
 
         meta = {
             "schedule": {
-                "interleaved": interleaved,
+                "interleaved": len(masters) > 1 and not alg1,
                 "antithetic": (
                     {
                         "group": self.config.antithetic_group,

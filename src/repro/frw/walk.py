@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alg2_reproducible import make_streams
 from .context import ExtractionContext
 from .engine import run_walks
+from .parallel import stream_spec, streams_from_spec
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,14 @@ def run_single_walk(
     ctx: ExtractionContext, uid: int
 ) -> tuple[float, int, int]:
     """Execute one walk; returns ``(omega, destination, steps)``."""
-    streams = make_streams(ctx.config, ctx.master)
+    streams = streams_from_spec(stream_spec(ctx.config, ctx.master))
     res = run_walks(ctx, streams, np.array([uid], dtype=np.uint64))
     return float(res.omega[0]), int(res.dest[0]), int(res.steps[0])
 
 
 def trace_walks(ctx: ExtractionContext, uids: list[int]) -> list[WalkTrace]:
     """Run a handful of walks recording every position (for Fig. 2)."""
-    streams = make_streams(ctx.config, ctx.master)
+    streams = streams_from_spec(stream_spec(ctx.config, ctx.master))
     uid_arr = np.array(uids, dtype=np.uint64)
     trace: list = []
     res = run_walks(ctx, streams, uid_arr, trace=trace)

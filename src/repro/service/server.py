@@ -321,7 +321,7 @@ class ExtractionService:
             kwargs = {}
             if cfg.mp_start_method is not None:
                 kwargs["mp_start_method"] = cfg.mp_start_method
-            executor = PersistentExecutor(cfg.executor, cfg.n_workers, **kwargs)
+            executor = PersistentExecutor(cfg.n_workers, **kwargs)
             self._executors[slot] = executor
         return executor
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro import FRWConfig
 from repro.errors import ConfigError, RNGError
 from repro.frw import (
+    FRWSolver,
     PersistentExecutor,
     build_context,
     extract_row_alg2,
@@ -421,11 +422,10 @@ def test_antithetic_off_matches_pinned_goldens(
         res = threaded_walks(ctx, streams, uids, n_threads=n_workers)
     else:
         with PersistentExecutor(
-            backend, n_workers=n_workers, chunk_size=96,
-            mp_start_method=start_method,
+            n_workers=n_workers, mp_start_method=start_method
         ) as ex:
             key = ex.register(ctx, stream_spec(cfg, 0))
-            res = ex.run(key, uids)
+            res = ex.run_async(key, uids, max_chunks=8).result()
     _check("homogeneous", res)
     assert _digest(res) == GOLDEN["homogeneous"]["sha256"]
 
@@ -442,18 +442,24 @@ _ANTI_BASE = dict(
 
 @pytest.fixture(scope="module")
 def anti_reference(plates):
-    cfg = FRWConfig.frw_r(**_ANTI_BASE, executor="serial", pipeline=False)
+    cfg = FRWConfig.frw_r(**_ANTI_BASE)
     return extract_row_alg2(build_context(plates, 0, cfg))
+
+
+def _solver_row(structure, cfg):
+    """The production row: ``FRWSolver.extract_row`` (the scheduler)."""
+    with FRWSolver(structure, cfg) as solver:
+        return solver.extract_row(0)
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(executor="serial", pipeline=True),
+        dict(executor="serial"),
         dict(executor="serial", rng_prefetch_depth=1),
         dict(executor="serial", pipeline_lookahead=3),
         dict(executor="process", n_workers=1),
-        dict(executor="process", n_workers=2, chunk_size=77),
+        dict(executor="process", n_workers=3),
         dict(executor="process", n_workers=2),
         dict(executor="process", n_workers=4),
         dict(executor="process", n_workers=2, mp_start_method="spawn"),
@@ -466,8 +472,7 @@ def test_antithetic_on_bitwise_across_backends(plates, anti_reference, kwargs):
     counts, and process start methods — the partner transform is inside
     the per-UID draw function, so the schedule cannot touch it."""
     ref_row, ref_stats = anti_reference
-    cfg = FRWConfig.frw_r(**_ANTI_BASE, **kwargs)
-    row, stats = extract_row_alg2(build_context(plates, 0, cfg))
+    row, stats = _solver_row(plates, FRWConfig.frw_r(**_ANTI_BASE, **kwargs))
     assert np.array_equal(row.values, ref_row.values)
     assert np.array_equal(row.sigma2, ref_row.sigma2)
     assert np.array_equal(row.hits, ref_row.hits)
@@ -479,10 +484,9 @@ def test_antithetic_on_bitwise_across_backends(plates, anti_reference, kwargs):
 @pytest.mark.parametrize("group,depth", [(4, 1), (2, 2), (8, 3)])
 def test_antithetic_group_depth_bitwise(plates, group, depth):
     base = dict(_ANTI_BASE, antithetic_group=group, antithetic_depth=depth)
-    ref_cfg = FRWConfig.frw_r(**base, executor="serial", pipeline=False)
+    ref_cfg = FRWConfig.frw_r(**base)
     ref_row, _ = extract_row_alg2(build_context(plates, 0, ref_cfg))
-    cfg = FRWConfig.frw_r(**base, executor="serial")
-    row, _ = extract_row_alg2(build_context(plates, 0, cfg))
+    row, _ = _solver_row(plates, FRWConfig.frw_r(**base, executor="serial"))
     assert np.array_equal(row.values, ref_row.values)
     assert np.array_equal(row.sigma2, ref_row.sigma2)
     assert row.walks == ref_row.walks
@@ -509,8 +513,6 @@ def test_antithetic_estimate_agrees_with_plain(plates):
 
 
 def test_solver_meta_records_antithetic(three_wires):
-    from repro.frw.solver import FRWSolver
-
     cfg = FRWConfig.frw_r(
         seed=4, batch_size=256, min_walks=512, max_walks=512,
         antithetic=True, antithetic_group=2, executor="serial",

@@ -60,12 +60,9 @@ ALT_RESULT_VALUES = {
 ALT_ENGINE_VALUES = {
     "executor": "process",
     "n_workers": 3,
-    "chunk_size": 17,
     "mp_start_method": "spawn",
-    "pipeline": False,
     "pipeline_lookahead": 3,
     "rng_prefetch_depth": 2,
-    "register_wave": 3,
     "far_field": False,
     "bounds_resolution": 3,
     "sanitize": True,

@@ -46,7 +46,7 @@ def test_with_replaces_fields():
         dict(min_walks=100, max_walks=50),
         dict(executor="gpu"),
         dict(n_workers=-1),
-        dict(chunk_size=-4),
+        dict(mp_start_method="greenlet"),
         dict(pipeline_lookahead=-1),
         dict(seed=-1),
         dict(machine_seed=-3),
@@ -100,14 +100,12 @@ def test_config_fields_partition_into_hash_and_allowlist():
 def test_thread_executor_removed_names_replacements():
     """The retired thread backend fails validation everywhere an executor
     is named, and the error says what to use instead."""
-    from repro.frw import PersistentExecutor
     from repro.service import ServiceSettings
 
     assert FRWConfig().executor == "serial"
     for make in (
         lambda: FRWConfig(executor="thread"),
         lambda: ServiceSettings(executor="thread").validate(),
-        lambda: PersistentExecutor("thread"),
     ):
         with pytest.raises(ConfigError) as exc:
             make()

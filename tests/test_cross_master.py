@@ -1,9 +1,9 @@
 """Golden cross-master bit-identity suite for the interleaved scheduler.
 
-The acceptance criterion of the scheduler: every row of a multi-master
-``extract()`` under the interleaved scheduler — any backend, any
-``n_workers`` — equals the per-master ``extract_row_alg2`` rows bit for
-bit (``values``/``sigma2``/``hits``/``walks``/``batches``).
+The acceptance criterion of the scheduler, the one Alg. 2 driver: every
+row it extracts — one master or many, any backend, any ``n_workers`` —
+equals the per-master reference ``extract_row_alg2`` rows bit for bit
+(``values``/``sigma2``/``hits``/``walks``/``batches``).
 """
 
 import tracemalloc
@@ -15,7 +15,6 @@ import pytest
 from repro import Box, Conductor, FRWConfig, FRWSolver, Structure
 from repro.frw import (
     RowProgress,
-    SharedAssets,
     StageTimers,
     WalkPipeline,
     build_context,
@@ -42,8 +41,8 @@ BASE = dict(
 
 @pytest.fixture(scope="module")
 def golden_rows(three_wires):
-    """Reference: serial per-master extraction (one batch at a time)."""
-    cfg = FRWConfig.frw_r(**BASE, executor="serial", pipeline=False)
+    """Reference: per-master extraction, one batch at a time."""
+    cfg = FRWConfig.frw_r(**BASE)
     return [
         extract_row_alg2(build_context(three_wires, m, cfg))
         for m in range(3)
@@ -94,8 +93,9 @@ def test_interleaved_serial_executor_bitwise(three_wires, golden_rows):
 
 
 def test_single_master_extract_on_pool_bitwise(three_wires, golden_rows):
-    """A one-master ``extract()`` is not interleaved: it registers its
-    context through the batch runner and runs on the solver's pool."""
+    """A one-master ``extract()`` has nothing to interleave with, but runs
+    through the same scheduler: it registers its context and runs on the
+    solver's pool."""
     cfg = FRWConfig.frw_r(**BASE, executor="process", n_workers=2)
     with FRWSolver(three_wires, cfg) as solver:
         results = [solver.extract(masters=[m]) for m in range(3)]
@@ -105,14 +105,48 @@ def test_single_master_extract_on_pool_bitwise(three_wires, golden_rows):
         _assert_rows_match(result, golden_rows[m : m + 1])
 
 
-def test_register_wave_bitwise(three_wires, golden_rows):
-    """Waved admission (one master at a time) changes only the schedule."""
+def _ten_wires() -> Structure:
+    wires = [
+        Conductor.single(
+            f"w{i}", Box.from_bounds(2.0 * i, 2.0 * i + 1.0, 0, 8, 0, 1)
+        )
+        for i in range(10)
+    ]
+    return Structure(wires, enclosure=Box.from_bounds(-4, 23, -4, 12, -4, 5))
+
+
+def test_wave_admission_bitwise(monkeypatch):
+    """Ten masters exceed the wave of ``max(8, 2 * workers)`` live masters
+    on the serial engine and on process(2): the last two are admitted only
+    after earlier ones converge (at most 8 arena lanes are ever open), and
+    every row still equals the per-master reference."""
+    structure = _ten_wires()
     cfg = FRWConfig.frw_r(
-        **BASE, executor="process", n_workers=2, register_wave=1
+        **{**BASE, "min_walks": 256, "max_walks": 512, "tolerance": 1e-6}
     )
-    with FRWSolver(three_wires, cfg) as solver:
-        result = solver.extract()
-    _assert_rows_match(result, golden_rows)
+    ref = _per_master(structure, cfg)
+    open_lanes = {"now": 0, "max": 0}
+    add, close = WalkPipeline.add_lane, WalkPipeline.close_lane
+
+    def spy_add(self, *args, **kwargs):
+        open_lanes["now"] += 1
+        open_lanes["max"] = max(open_lanes["max"], open_lanes["now"])
+        return add(self, *args, **kwargs)
+
+    def spy_close(self, lane):
+        close(self, lane)
+        open_lanes["now"] -= 1
+
+    monkeypatch.setattr(WalkPipeline, "add_lane", spy_add)
+    monkeypatch.setattr(WalkPipeline, "close_lane", spy_close)
+    with FRWSolver(structure, cfg) as solver:
+        serial = solver.extract()
+    monkeypatch.undo()
+    assert open_lanes["max"] == 8
+    _assert_same_rows(serial, ref)
+    with FRWSolver(structure, cfg.with_(executor="process", n_workers=2)) as solver:
+        pooled = solver.extract()
+    _assert_same_rows(pooled, ref)
 
 
 def test_schedule_telemetry_and_asset_cache(three_wires):
@@ -145,15 +179,7 @@ def test_schedule_telemetry_and_asset_cache(three_wires):
 def test_lazy_registration_for_master_subset():
     """A 2-master subset of a 10-conductor structure builds and registers
     exactly 2 contexts (registration is lazy-but-batched)."""
-    wires = [
-        Conductor.single(
-            f"w{i}", Box.from_bounds(2.0 * i, 2.0 * i + 1.0, 0, 8, 0, 1)
-        )
-        for i in range(10)
-    ]
-    structure = Structure(
-        wires, enclosure=Box.from_bounds(-4, 23, -4, 12, -4, 5)
-    )
+    structure = _ten_wires()
     cfg = FRWConfig.frw_r(**BASE, executor="process", n_workers=2)
     with FRWSolver(structure, cfg) as solver:
         result = solver.extract(masters=[0, 5])
@@ -298,9 +324,9 @@ def _assert_same_rows(got, ref):
 
 
 def _per_master(structure, cfg, threads=None):
-    """The per-master reference: one ``extract_row_alg2`` per master, each
-    on its own single-lane arena.  ``threads`` maps a master to the
-    virtual-thread DOP it replays at (multilevel group plans)."""
+    """The per-master reference: one ``extract_row_alg2`` per master, one
+    batch at a time.  ``threads`` maps a master to the virtual-thread DOP
+    it replays at (multilevel group plans)."""
     threads = threads or {}
     with FRWSolver(structure, cfg) as solver:
         pairs = [
@@ -341,10 +367,9 @@ def _count_arenas(monkeypatch):
         ("frw_nc", {}),
         ("frw_r", {"antithetic": True}),
         ("frw_r", {"antithetic": True, "antithetic_group": 4}),
-        ("frw_r", {"pipeline": False}),
+        ("frw_r", {"pipeline_lookahead": 0}),
         ("frw_r", {"pipeline_lookahead": 3}),
         ("frw_r", {"rng_prefetch_depth": 1}),
-        ("frw_r", {"register_wave": 2}),
     ],
     ids=[
         "frw-r",
@@ -352,10 +377,9 @@ def _count_arenas(monkeypatch):
         "frw-nc-mt",
         "antithetic",
         "antithetic-g4",
-        "pipeline-off",
+        "lookahead-0",
         "lookahead-3",
         "prefetch-1",
-        "wave-2",
     ],
 )
 def test_fused_arena_rows_byte_equal_per_master_loop(
@@ -451,8 +475,8 @@ def test_fused_arena_evicts_stopped_master(three_wires, monkeypatch):
 
 def test_fused_arena_halves_vector_steps():
     """On a 5-master bus the fused arena takes at most half the vector
-    steps of the per-master engines combined (a StageTimers count, not a
-    timing): every step advances all masters' walks."""
+    steps of five one-master extractions combined (a StageTimers count,
+    not a timing): every step advances all masters' walks."""
     bus = _five_wires()
     cfg = FRWConfig.frw_r(
         seed=3,
@@ -464,11 +488,9 @@ def test_fused_arena_halves_vector_steps():
         executor="serial",
     )
     per_master = StageTimers()
-    assets = SharedAssets(bus)
-    for m in range(5):
-        extract_row_alg2(
-            build_context(bus, m, cfg, assets=assets), cfg, timers=per_master
-        )
+    with FRWSolver(bus, cfg) as solver:
+        for m in range(5):
+            extract_rows_interleaved([m], cfg, solver.context, timers=per_master)
     fused_timers = StageTimers()
     with FRWSolver(bus, cfg) as solver:
         rows, stats = extract_rows_interleaved(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import FRWConfig
-from repro.frw import build_context, make_streams, run_walks
+from repro.frw import build_context, run_walks, stream_spec, streams_from_spec
 from repro.rng import WalkStreams
 
 
@@ -87,7 +87,7 @@ def test_seed_changes_results(plates):
 def test_mt_streams_supported(plates):
     ctx = ctx_for(plates)
     cfg = FRWConfig.frw_nc(seed=11)
-    streams = make_streams(cfg, 0)
+    streams = streams_from_spec(stream_spec(cfg, 0))
     res = run_walks(ctx, streams, np.arange(200, dtype=np.uint64))
     assert np.all(res.dest >= 0)
     # MT caches are released after the batch completes.

@@ -27,7 +27,7 @@ import pytest
 import repro.frw.engine as engine_mod
 from repro import Box, Conductor, DielectricStack, FRWConfig, Structure
 from repro.frw import build_context, run_walks, run_walks_pipelined
-from repro.frw.parallel import run_walks_processes
+from repro.frw.parallel import PersistentExecutor
 from repro.lint.sanitizer import forbid_global_rng
 from repro.rng import WalkStreams
 
@@ -171,11 +171,16 @@ def test_thread_parallel_matches_golden(golden_case, threaded_walks, n_workers):
     _check(case, res)
 
 
+def _pool_walks(ctx, uids, n_workers, start_method="auto"):
+    """One UID batch over a short-lived pool, reassembled in UID order."""
+    with PersistentExecutor(n_workers, mp_start_method=start_method) as ex:
+        return ex.run(ex.register(ctx, ("philox", SEED, 0)), uids)
+
+
 @pytest.mark.parametrize("n_workers", [2, 4])
 def test_process_parallel_matches_golden(golden_case, n_workers):
     case, ctx, uids = golden_case
-    res = run_walks_processes(ctx, SEED, 0, uids, n_workers=n_workers)
-    _check(case, res)
+    _check(case, _pool_walks(ctx, uids, n_workers))
 
 
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
@@ -183,10 +188,7 @@ def test_spawn_parallel_matches_golden(golden_case, n_workers):
     """Spawn workers inherit nothing: the golden bytes coming back prove
     the shared-memory manifest protocol carries the whole context."""
     case, ctx, uids = golden_case
-    res = run_walks_processes(
-        ctx, SEED, 0, uids, n_workers=n_workers, start_method="spawn"
-    )
-    _check(case, res)
+    _check(case, _pool_walks(ctx, uids, n_workers, start_method="spawn"))
 
 
 def test_stratified_case_exercises_interface_snapping(monkeypatch):

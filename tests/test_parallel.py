@@ -1,5 +1,6 @@
-"""Tests for the walk executors: the process pool, the in-process batch
-runners, and the serial engine driven from several threads at once."""
+"""Tests for the walk executors: the process pool, the solver's
+single-master extraction over it, and the serial engine driven from
+several threads at once."""
 
 import numpy as np
 
@@ -40,53 +41,53 @@ def test_single_worker_shortcut(plates, threaded_walks):
     assert np.array_equal(res.omega, ref.omega)
 
 
+# ----------------------------------------------------------------------
+# The persistent process pool
+# ----------------------------------------------------------------------
+import pytest
+
+from repro.frw import PersistentExecutor, extract_row_alg2, stream_spec
+from repro.frw.solver import FRWSolver
+
+
 def test_process_pool_matches_serial(plates):
     """The distributed-memory backend: bit-identical to the serial engine."""
-    from repro.frw import run_walks_processes
-
-    ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
+    cfg = FRWConfig.frw_r(seed=77)
+    ctx = build_context(plates, 0, cfg)
     uids = np.arange(600, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    procs = run_walks_processes(ctx, 77, 0, uids, n_workers=2, chunk_size=150)
+    with PersistentExecutor(n_workers=2) as ex:
+        key = ex.register(ctx, stream_spec(cfg, 0))
+        procs = ex.run_async(key, uids, max_chunks=4).result()
     assert np.array_equal(serial.omega, procs.omega)
     assert np.array_equal(serial.dest, procs.dest)
 
 
 def test_process_pool_single_worker_shortcut(plates):
-    from repro.frw import run_walks_processes
-
-    ctx = build_context(plates, 0, FRWConfig.frw_r(seed=77))
+    """A one-worker pool runs in-process and never starts a pool."""
+    cfg = FRWConfig.frw_r(seed=77)
+    ctx = build_context(plates, 0, cfg)
     uids = np.arange(50, dtype=np.uint64)
-    res = run_walks_processes(ctx, 77, 0, uids, n_workers=1)
+    with PersistentExecutor(n_workers=1) as ex:
+        res = ex.run(ex.register(ctx, stream_spec(cfg, 0)), uids)
+        assert ex._process_pool is None
+        assert ex.dispatches == 0
     ref = run_walks(ctx, WalkStreams(77, 0), uids)
     assert np.array_equal(res.omega, ref.omega)
 
 
-# ----------------------------------------------------------------------
-# Persistent executors and batch runners
-# ----------------------------------------------------------------------
-import pytest
-
-from repro.frw import (
-    PersistentExecutor,
-    extract_row_alg2,
-    make_batch_runner,
-    stream_spec,
-)
-from repro.frw.solver import FRWSolver
-
-
-@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_persistent_executor_bitwise(plates, backend, n_workers):
-    """Any backend at any worker count is bit-identical to the serial engine."""
+    """The pool at any worker count is bit-identical to the serial engine."""
     cfg = FRWConfig.frw_r(seed=77)
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(700, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    with PersistentExecutor(backend, n_workers=n_workers, chunk_size=96) as ex:
+    with PersistentExecutor(n_workers=n_workers) as ex:
+        assert ex.backend == backend
         key = ex.register(ctx, stream_spec(cfg, 0))
-        res = ex.run(key, uids)
+        res = ex.run_async(key, uids, max_chunks=8).result()
     assert np.array_equal(serial.omega, res.omega)
     assert np.array_equal(serial.dest, res.dest)
     assert np.array_equal(serial.steps, res.steps)
@@ -96,7 +97,7 @@ def test_persistent_executor_bitwise(plates, backend, n_workers):
 def test_persistent_executor_reused_across_masters(plates):
     """One pool serves several registered contexts (masters)."""
     cfg = FRWConfig.frw_r(seed=5)
-    with PersistentExecutor("process", n_workers=2) as ex:
+    with PersistentExecutor(n_workers=2) as ex:
         for master in (0, 1):
             ctx = build_context(plates, master, cfg)
             key = ex.register(ctx, stream_spec(cfg, master))
@@ -110,14 +111,14 @@ def test_persistent_executor_reused_across_masters(plates):
 def test_executor_register_is_idempotent(plates):
     cfg = FRWConfig.frw_r(seed=5)
     ctx = build_context(plates, 0, cfg)
-    with PersistentExecutor("process", n_workers=2) as ex:
+    with PersistentExecutor(n_workers=2) as ex:
         k1 = ex.register(ctx, stream_spec(cfg, 0))
         k2 = ex.register(ctx, stream_spec(cfg, 0))
         assert k1 == k2
 
 
 def test_executor_close_idempotent():
-    ex = PersistentExecutor("process", n_workers=2)
+    ex = PersistentExecutor(n_workers=2)
     ex.close()
     ex.close()
 
@@ -125,10 +126,10 @@ def test_executor_close_idempotent():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(executor="serial", pipeline=True),
-        dict(executor="serial", pipeline=True, pipeline_lookahead=3),
+        dict(executor="serial"),
+        dict(executor="serial", pipeline_lookahead=3),
         dict(executor="process", n_workers=1),
-        dict(executor="process", n_workers=2, chunk_size=77),
+        dict(executor="process", n_workers=3),
         dict(executor="serial", n_workers=4),
         dict(executor="serial", rng_prefetch_depth=1),
         dict(executor="serial", rng_prefetch_depth=16),
@@ -137,17 +138,18 @@ def test_executor_close_idempotent():
     ],
 )
 def test_extract_row_backends_bitwise(plates, kwargs):
-    """The acceptance criterion: the extracted row (values, sigma2, hits,
-    walks, steps) is bitwise identical across all executor backends and
-    worker counts — the knobs trade wall time only."""
+    """The acceptance criterion: the row ``FRWSolver.extract_row`` returns
+    (values, sigma2, hits, walks, steps) is bitwise identical to the
+    per-master reference across all executor backends and worker counts
+    — the knobs trade wall time only."""
     base = dict(
         seed=13, n_threads=4, batch_size=256, min_walks=512,
         max_walks=1024, tolerance=1e-6,
     )
-    ref_cfg = FRWConfig.frw_r(**base, executor="serial", pipeline=False)
+    ref_cfg = FRWConfig.frw_r(**base)
     ref_row, ref_stats = extract_row_alg2(build_context(plates, 0, ref_cfg))
-    cfg = FRWConfig.frw_r(**base, **kwargs)
-    row, stats = extract_row_alg2(build_context(plates, 0, cfg))
+    with FRWSolver(plates, FRWConfig.frw_r(**base, **kwargs)) as solver:
+        row, stats = solver.extract_row(0)
     assert np.array_equal(row.values, ref_row.values)
     assert np.array_equal(row.sigma2, ref_row.sigma2)
     assert np.array_equal(row.hits, ref_row.hits)
@@ -178,19 +180,32 @@ def test_solver_serial_config_has_no_executor(plates):
         assert FRWSolver(plates, cfg).walk_executor() is None
 
 
-def test_make_batch_runner_serial_fallback(plates):
-    """executor='process' with one worker degrades to the in-process path,
-    so an auto-sized pool is safe on single-core hosts."""
-    from repro.frw.parallel import PipelinedBatchRunner, SerialBatchRunner
+def test_process_single_worker_serial_fallback(plates, monkeypatch):
+    """executor='process' with one worker degrades to the in-process
+    arena, so an auto-sized pool is safe on single-core hosts.  The
+    scheduler looks its runner classes up at call time: a
+    ``SerialBatchRunner`` at lookahead 0, a ``PipelinedBatchRunner``
+    otherwise."""
+    from repro.frw import cross_master
 
-    cfg = FRWConfig.frw_r(executor="process", n_workers=1)
-    ctx = build_context(plates, 0, cfg)
-    runner, owned = make_batch_runner(ctx, cfg)
-    assert owned is None
-    assert isinstance(runner, PipelinedBatchRunner)
-    runner2, owned2 = make_batch_runner(ctx, cfg.with_(pipeline=False))
-    assert isinstance(runner2, SerialBatchRunner)
-    assert owned2 is None
+    built = []
+    for name in ("PipelinedBatchRunner", "SerialBatchRunner"):
+        cls = getattr(cross_master, name)
+
+        def build(*args, _cls=cls, **kwargs):
+            built.append(_cls.__name__)
+            return _cls(*args, **kwargs)
+
+        monkeypatch.setattr(cross_master, name, build)
+    cfg = FRWConfig.frw_r(
+        seed=13, batch_size=256, min_walks=512, max_walks=512,
+        executor="process", n_workers=1,
+    )
+    for lookahead in (1, 0):
+        with FRWSolver(plates, cfg.with_(pipeline_lookahead=lookahead)) as solver:
+            solver.extract_row(0)
+            assert solver.walk_executor() is None
+    assert built == ["PipelinedBatchRunner", "SerialBatchRunner"]
 
 
 # ----------------------------------------------------------------------
@@ -212,11 +227,9 @@ def test_spawn_backend_bitwise(plates, n_workers):
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(700, dtype=np.uint64)
     serial = run_walks(ctx, WalkStreams(77, 0), uids)
-    with PersistentExecutor(
-        "process", n_workers=n_workers, chunk_size=96, mp_start_method="spawn"
-    ) as ex:
+    with PersistentExecutor(n_workers=n_workers, mp_start_method="spawn") as ex:
         key = ex.register(ctx, stream_spec(cfg, 0))
-        res = ex.run(key, uids)
+        res = ex.run_async(key, uids, max_chunks=8).result()
     assert np.array_equal(serial.omega, res.omega)
     assert np.array_equal(serial.dest, res.dest)
     assert np.array_equal(serial.steps, res.steps)
@@ -227,7 +240,7 @@ def test_second_wave_registration_keeps_pool(plates):
     """Registering more contexts must publish blocks, not restart the
     pool: the worker PID set is unchanged across registration waves."""
     cfg = FRWConfig.frw_r(seed=5)
-    with PersistentExecutor("process", n_workers=2, chunk_size=128) as ex:
+    with PersistentExecutor(n_workers=2) as ex:
         ctx0 = build_context(plates, 0, cfg)
         k0 = ex.register(ctx0, stream_spec(cfg, 0))
         uids = np.arange(300, dtype=np.uint64)
@@ -251,11 +264,12 @@ def test_executor_dispatch_telemetry(plates):
     cfg = FRWConfig.frw_r(seed=77)
     ctx = build_context(plates, 0, cfg)
     uids = np.arange(400, dtype=np.uint64)
-    with PersistentExecutor("process", n_workers=2, chunk_size=100) as ex:
+    with PersistentExecutor(n_workers=2) as ex:
         ex.register(ctx, stream_spec(cfg, 0))
-        ex.run(ex.register(ctx, stream_spec(cfg, 0)), uids)
+        key = ex.register(ctx, stream_spec(cfg, 0))  # same key: one block
+        ex.run_async(key, uids, max_chunks=4).result()
         stats = ex.dispatch_stats()
-        assert stats["dispatches"] == 4  # 400 uids / 100-uid chunks
+        assert stats["dispatches"] == 4  # 400 uids in 4 chunks of 100
         assert stats["published_contexts"] == 1
         assert stats["published_nbytes"] > 0
         # Steady-state messages are (manifest, uids): a few KB each.
@@ -268,7 +282,7 @@ def test_executor_dispatch_telemetry(plates):
 def test_executor_close_unlinks_blocks(plates):
     cfg = FRWConfig.frw_r(seed=77)
     ctx = build_context(plates, 0, cfg)
-    ex = PersistentExecutor("process", n_workers=2)
+    ex = PersistentExecutor(n_workers=2)
     key = ex.register(ctx, stream_spec(cfg, 0))
     blocks = shm.published_blocks()
     assert blocks  # registration published the context
@@ -313,37 +327,43 @@ def test_resolve_workers_affinity_fallback(monkeypatch):
     assert resolve_workers(0) == 3
 
 
-def test_pipelined_process_runner_bitwise(plates):
-    """ProcessBatchRunner with lookahead overlaps chunks from consecutive
-    batches across the pool; rows must stay bit-identical to the
-    unpipelined process path and the serial engine."""
+def test_single_master_process_extraction_bitwise(plates):
+    """A single-master extraction on process(2) runs through the
+    cross-master scheduler: ``extract_row`` and ``extract([m])`` give the
+    reference row byte for byte, with the default lookahead and with
+    lookahead 0 (which only the serial arena reads)."""
     base = dict(
         seed=13, n_threads=4, batch_size=256, min_walks=512,
         max_walks=1024, tolerance=1e-6,
     )
-    ref_cfg = FRWConfig.frw_r(**base, executor="serial", pipeline=False)
-    ref_row, ref_stats = extract_row_alg2(build_context(plates, 0, ref_cfg))
-    for kwargs in (
-        dict(executor="process", n_workers=2, pipeline=True),
-        dict(executor="process", n_workers=2, pipeline=True,
-             pipeline_lookahead=3),
-        dict(executor="process", n_workers=2, pipeline=False),
-    ):
-        cfg = FRWConfig.frw_r(**base, **kwargs)
-        row, stats = extract_row_alg2(build_context(plates, 0, cfg))
-        assert np.array_equal(row.values, ref_row.values)
-        assert np.array_equal(row.sigma2, ref_row.sigma2)
-        assert row.walks == ref_row.walks
-        assert stats.batches == ref_stats.batches
+    ref_row, ref_stats = extract_row_alg2(
+        build_context(plates, 0, FRWConfig.frw_r(**base))
+    )
+    for lookahead in (1, 0):
+        cfg = FRWConfig.frw_r(
+            **base, executor="process", n_workers=2,
+            pipeline_lookahead=lookahead,
+        )
+        with FRWSolver(plates, cfg) as solver:
+            row, stats = solver.extract_row(0)
+            full = solver.extract([0])
+        for got, got_stats in ((row, stats), (full.rows[0], full.stats[0])):
+            assert np.array_equal(got.values, ref_row.values)
+            assert np.array_equal(got.sigma2, ref_row.sigma2)
+            assert np.array_equal(got.hits, ref_row.hits)
+            assert got.walks == ref_row.walks
+            assert got_stats.batches == ref_stats.batches
 
 
-def test_pipelined_runner_counts_speculation(plates):
-    """Lookahead dispatches batches the stopping rule then discards; the
-    runner must surface them so the telemetry stays honest."""
+def test_single_master_process_extraction_counts_speculation(plates):
+    """The scheduler keeps ``2 * workers`` batches in flight for a lone
+    master, so the stopping rule discards some; the telemetry must
+    account for every dispatched batch."""
     cfg = FRWConfig.frw_r(
         seed=13, batch_size=128, min_walks=256, max_walks=256,
-        executor="process", n_workers=2, pipeline=True, pipeline_lookahead=2,
+        executor="process", n_workers=2,
     )
-    row, stats = extract_row_alg2(build_context(plates, 0, cfg))
+    with FRWSolver(plates, cfg) as solver:
+        row, stats = solver.extract_row(0)
     assert stats.dispatched_batches == stats.batches + stats.discarded_batches
-    assert stats.discarded_batches >= 1  # lookahead ran past the stop
+    assert stats.discarded_batches >= 1  # the quota ran past the stop

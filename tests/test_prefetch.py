@@ -23,7 +23,13 @@ from hypothesis import strategies as st
 
 from repro import FRWConfig
 from repro.errors import ConfigError
-from repro.frw import build_context, extract_row_alg2, make_streams
+from repro.frw import (
+    FRWSolver,
+    build_context,
+    extract_row_alg2,
+    stream_spec,
+    streams_from_spec,
+)
 from repro.frw.engine import run_walks_pipelined
 from repro.rng import MirroredDraws, WalkStreams
 from repro.rng.counter_stream import MAX_PREFETCH_STEPS
@@ -134,10 +140,12 @@ def test_mt_streams_fall_back_to_no_prefetch():
     cfg_mt = FRWConfig.frw_nc(seed=SEED)
     uids = np.arange(128, dtype=np.uint64)
     base = run_walks_pipelined(
-        ctx, make_streams(cfg_mt, 0), uids, width=64, prefetch=1
+        ctx, streams_from_spec(stream_spec(cfg_mt, 0)), uids, width=64,
+        prefetch=1,
     )
     deep = run_walks_pipelined(
-        ctx, make_streams(cfg_mt, 0), uids, width=64, prefetch=8
+        ctx, streams_from_spec(stream_spec(cfg_mt, 0)), uids, width=64,
+        prefetch=8,
     )
     assert _digest(base) == _digest(deep)
 
@@ -176,10 +184,10 @@ _BASE = dict(
 )
 
 _BACKENDS = [
-    dict(executor="serial", pipeline=True),
-    dict(executor="serial", pipeline=False),
+    dict(executor="serial"),
+    dict(executor="serial", pipeline_lookahead=0),
     dict(executor="serial", pipeline_lookahead=3),
-    dict(executor="process", n_workers=2, chunk_size=77),
+    dict(executor="process", n_workers=3),
     dict(executor="process", n_workers=2),
     dict(executor="process", n_workers=4),
     dict(executor="process", n_workers=2, mp_start_method="spawn"),
@@ -187,6 +195,13 @@ _BACKENDS = [
 
 
 def _extract(structure, **overrides):
+    """The production row: ``FRWSolver.extract_row`` (the scheduler)."""
+    with FRWSolver(structure, FRWConfig.frw_r(**_BASE, **overrides)) as solver:
+        return solver.extract_row(0)
+
+
+def _reference(structure, **overrides):
+    """The per-master reference loop (one batch at a time)."""
     cfg = FRWConfig.frw_r(**_BASE, **overrides)
     return extract_row_alg2(build_context(structure, 0, cfg))
 
@@ -203,10 +218,9 @@ def _assert_rows_equal(got, ref):
 
 @pytest.fixture(scope="module")
 def prefetch_reference(plates):
-    """Depth-1 serial extraction: the no-ring baseline every (depth,
+    """Depth-1 reference extraction: the no-ring baseline every (depth,
     backend, workers) combination must reproduce byte for byte."""
-    return _extract(plates, rng_prefetch_depth=1, executor="serial",
-                    pipeline=False)
+    return _reference(plates, rng_prefetch_depth=1)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 4, 8])
@@ -222,16 +236,15 @@ def test_rows_bitwise_across_depth_and_backends(
 
 @pytest.fixture(scope="module")
 def prefetch_anti_reference(plates):
-    return _extract(plates, rng_prefetch_depth=1, executor="serial",
-                    pipeline=False, antithetic=True)
+    return _reference(plates, rng_prefetch_depth=1, antithetic=True)
 
 
 @pytest.mark.parametrize("depth", [2, 4, 8])
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(executor="serial", pipeline=True),
-        dict(executor="serial", pipeline=False),
+        dict(executor="serial"),
+        dict(executor="serial", pipeline_lookahead=0),
         dict(executor="process", n_workers=2),
         dict(executor="process", n_workers=2, mp_start_method="spawn"),
     ],

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Box, Conductor, FRWConfig, Structure, regularize
-from repro.frw import build_context, make_streams, run_walks
+from repro.frw import build_context, run_walks, stream_spec, streams_from_spec
 from repro.reliability import check_properties
 
 
@@ -51,7 +51,7 @@ def test_engine_invariants_on_random_geometry(structure, seed):
     structure.validate(min_gap=0.5)
     cfg = FRWConfig.frw_r(seed=seed)
     ctx = build_context(structure, 0, cfg)
-    streams = make_streams(cfg, 0)
+    streams = streams_from_spec(stream_spec(cfg, 0))
     uids = np.arange(400, dtype=np.uint64)
     res = run_walks(ctx, streams, uids)
     # Termination with valid destinations.
@@ -60,7 +60,7 @@ def test_engine_invariants_on_random_geometry(structure, seed):
     assert res.truncated == 0
     # Order independence (spot check with a permutation).
     perm = np.random.default_rng(seed).permutation(uids.shape[0])
-    res2 = run_walks(ctx, make_streams(cfg, 0), uids[perm])
+    res2 = run_walks(ctx, streams_from_spec(stream_spec(cfg, 0)), uids[perm])
     assert np.array_equal(res2.omega, res.omega[perm])
     # Self-capacitance estimate positive (coarse budget, but the diagonal
     # dominates strongly for isolated boxes).

@@ -503,6 +503,9 @@ class TestHTTP:
             ({"seed": 1.5}, None),
             ({"deterministic_merge": "no"}, None),
             ({"sort_queries": False}, None),
+            ({"pipeline": False}, None),
+            ({"chunk_size": 77}, None),
+            ({"register_wave": 2}, None),
             (None, "01"),
             (None, [1.5]),
             (None, [True]),
@@ -511,6 +514,9 @@ class TestHTTP:
             "float-seed",
             "string-bool",
             "retired-field",
+            "retired-pipeline",
+            "retired-chunk_size",
+            "retired-register_wave",
             "masters-string",
             "masters-float",
             "masters-bool",

@@ -3,12 +3,19 @@
 import numpy as np
 
 from repro import FRWConfig
-from repro.frw import build_context, make_streams, run_single_walk, run_walks, trace_walks
+from repro.frw import (
+    build_context,
+    run_single_walk,
+    run_walks,
+    stream_spec,
+    streams_from_spec,
+    trace_walks,
+)
 
 
 def test_single_walk_matches_batch(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=55))
-    streams = make_streams(ctx.config, 0)
+    streams = streams_from_spec(stream_spec(ctx.config, 0))
     batch = run_walks(ctx, streams, np.arange(10, dtype=np.uint64))
     for uid in range(10):
         omega, dest, steps = run_single_walk(ctx, uid)
@@ -40,7 +47,7 @@ def test_trace_walks_paths(plates):
 
 def test_trace_matches_untraced_outcomes(plates):
     ctx = build_context(plates, 0, FRWConfig.frw_r(seed=55))
-    streams = make_streams(ctx.config, 0)
+    streams = streams_from_spec(stream_spec(ctx.config, 0))
     ref = run_walks(ctx, streams, np.arange(4, dtype=np.uint64))
     traces = trace_walks(ctx, [0, 1, 2, 3])
     for i, t in enumerate(traces):
